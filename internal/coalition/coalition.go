@@ -39,6 +39,21 @@ type SocialGame interface {
 	TotalCost() float64
 }
 
+// BoundedGame is a Game that can bound hypothetical shares from below
+// more cheaply than computing them. Under the Selfish rule the engine
+// checks the bound first and skips a strategy when even the bound cannot
+// beat the best share found so far, so an exact bound leaves the argmin,
+// the epsilon tie-breaks and the move sequence unchanged.
+type BoundedGame interface {
+	Game
+	// ShareBounds returns a slice indexed by strategy whose entry s is
+	// never larger than Share(agent, s), as computed in floating point,
+	// for every s other than the agent's current strategy; nil means no
+	// bound. The slice is read-only and valid until the next call or
+	// Move.
+	ShareBounds(agent int) []float64
+}
+
 // Rule selects which deviations the dynamics accept.
 type Rule int
 
@@ -130,6 +145,7 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 		assign[a] = s
 	}
 
+	bound, _ := g.(BoundedGame)
 	res := Result{}
 	order := make([]int, n)
 	for i := range order {
@@ -142,7 +158,7 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 		}
 		moved := false
 		for _, a := range order {
-			if bestResponse(g, assign, a, o) {
+			if bestResponse(g, bound, assign, a, o) {
 				moved = true
 				res.Switches++
 			}
@@ -157,8 +173,9 @@ func Run(g Game, init []int, opts Options) (Result, error) {
 }
 
 // bestResponse moves agent a to its best strictly-improving strategy, if
-// any, and reports whether it moved.
-func bestResponse(g Game, assign []int, a int, o Options) bool {
+// any, and reports whether it moved. bound, when non-nil, is g's
+// lower-bound view (Selfish rule only).
+func bestResponse(g Game, bound BoundedGame, assign []int, a int, o Options) bool {
 	cur := assign[a]
 	switch o.Rule {
 	case Social:
@@ -182,14 +199,22 @@ func bestResponse(g Game, assign []int, a int, o Options) bool {
 		assign[a] = bestS
 		return true
 	default: // Selfish
-		curShare := g.Share(a, cur)
-		bestS, bestShare := cur, curShare
+		var bounds []float64
+		if bound != nil {
+			bounds = bound.ShareBounds(a)
+		}
+		bestS := cur
+		bar := g.Share(a, cur) - o.Epsilon // a switch must undercut this
 		for s := 0; s < g.NumStrategies(); s++ {
 			if s == cur {
 				continue
 			}
-			if sh := g.Share(a, s); sh < bestShare-o.Epsilon {
-				bestS, bestShare = s, sh
+			// Share ≥ bound ≥ bar cannot pass the test below.
+			if bounds != nil && bounds[s] >= bar {
+				continue
+			}
+			if sh := g.Share(a, s); sh < bar {
+				bestS, bar = s, sh-o.Epsilon
 			}
 		}
 		if bestS == cur {

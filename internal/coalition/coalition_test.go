@@ -285,3 +285,79 @@ func TestShareHypotheticalConsistency(t *testing.T) {
 		t.Errorf("hypothetical share %v != realized share %v", want, got)
 	}
 }
+
+// countingGame counts the Share evaluations the engine asks for.
+type countingGame struct {
+	Game
+	shares *int
+}
+
+func (c countingGame) Share(agent, s int) float64 {
+	*c.shares++
+	return c.Game.Share(agent, s)
+}
+
+// distBoundGame adds feeSplitGame's exact lower bound: an agent pays at
+// least its distance, since the fee share is nonnegative.
+type distBoundGame struct {
+	countingGame
+	dist [][]float64
+}
+
+func (b distBoundGame) ShareBounds(agent int) []float64 { return b.dist[agent] }
+
+var _ BoundedGame = distBoundGame{}
+
+// TestRunShareBoundSkipsWithoutChangingResult checks that an exact share
+// bound only saves Share evaluations: on random fee-split games, with and
+// without a shuffled visiting order, the bounded run must reach the same
+// assignment with the same switch and pass counts as the unbounded one.
+func TestRunShareBoundSkipsWithoutChangingResult(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	var plainShares, boundedShares int
+	for trial := 0; trial < 40; trial++ {
+		n, m := 2+r.Intn(30), 1+r.Intn(8)
+		fee := make([]float64, m)
+		for s := range fee {
+			fee[s] = r.Float64() * 50
+		}
+		dist := make([][]float64, n)
+		init := make([]int, n)
+		for a := range dist {
+			dist[a] = make([]float64, m)
+			for s := range dist[a] {
+				dist[a][s] = r.Float64() * 40
+			}
+			init[a] = r.Intn(m)
+		}
+		run := func(bounded bool) Result {
+			var g Game = countingGame{newFeeSplitGame(fee, dist, init), &plainShares}
+			if bounded {
+				g = distBoundGame{countingGame{newFeeSplitGame(fee, dist, init), &boundedShares}, dist}
+			}
+			opts := Options{}
+			if trial%2 == 1 {
+				opts.Rand = rand.New(rand.NewSource(int64(trial)))
+			}
+			res, err := Run(g, init, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		plain, bounded := run(false), run(true)
+		if plain.Switches != bounded.Switches || plain.Passes != bounded.Passes ||
+			plain.Converged != bounded.Converged {
+			t.Fatalf("trial %d: bounded run %+v, plain run %+v", trial, bounded, plain)
+		}
+		for a := range plain.Assignment {
+			if plain.Assignment[a] != bounded.Assignment[a] {
+				t.Fatalf("trial %d: agent %d ends at %d with the bound, %d without",
+					trial, a, bounded.Assignment[a], plain.Assignment[a])
+			}
+		}
+	}
+	if boundedShares >= plainShares {
+		t.Errorf("bounded runs evaluated %d shares, plain runs %d; want fewer", boundedShares, plainShares)
+	}
+}

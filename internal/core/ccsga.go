@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/coalition"
 )
@@ -75,7 +76,8 @@ type CCSGAResult struct {
 // initial assignment is the noncooperative one (every device at its
 // standalone charger), packed greedily when capacities bind.
 func CCSGA(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, error) {
-	res, _, _, err := ccsgaSolve(cm, opts)
+	res, game, _, err := ccsgaSolve(cm, opts, nil)
+	game.release()
 	return res, err
 }
 
@@ -84,7 +86,10 @@ func CCSGA(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, error) {
 // assignment. The game's cur array aliases the returned assignment state
 // after the run (coalition.Run mutates the game through Move), so a caller
 // adopting the game gets per-slot aggregates that already match assign.
-func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, []int, error) {
+// view, when non-nil, is what the switch dynamics and the Nash check
+// play instead of the game itself (the differential tests hide the
+// game's shortcuts behind it); nil plays the game directly.
+func ccsgaSolve(cm *CostModel, opts CCSGAOptions, view func(*chargerGame) coalition.Game) (*CCSGAResult, *chargerGame, []int, error) {
 	if opts.Scheme == nil {
 		opts.Scheme = PDS{}
 	}
@@ -109,11 +114,15 @@ func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, [
 	}
 	game.reset(init)
 
+	var play coalition.Game = game
+	if view != nil {
+		play = view(game)
+	}
 	var r *rand.Rand
 	if opts.Seed != 0 {
 		r = rand.New(rand.NewSource(opts.Seed))
 	}
-	res, err := coalition.Run(game, init, coalition.Options{
+	res, err := coalition.Run(play, init, coalition.Options{
 		Rule:      opts.Rule,
 		MaxPasses: opts.MaxPasses,
 		Epsilon:   opts.Epsilon,
@@ -131,7 +140,7 @@ func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, [
 	// as strict as the 1e-9 verification threshold).
 	nash := res.Converged && opts.Rule == coalition.Selfish && opts.Epsilon <= 1e-9
 	if !nash {
-		nash = coalition.IsNash(game, res.Assignment, 1e-9)
+		nash = coalition.IsNash(play, res.Assignment, 1e-9)
 	}
 	return &CCSGAResult{
 		Schedule:   sched,
@@ -160,6 +169,18 @@ func assignmentSchedule(assign []int, numChargers int) *Schedule {
 // per-slot aggregates. A strategy is a session slot: exactly one per
 // charger without capacities; ⌈total purchase / capacity⌉ slots per
 // charger when a session capacity could force splitting.
+//
+// Shares are memoized under one epoch invariant that every path playing
+// the game shares — cold, warm, repair and shard-cell solves alike.
+// slotEpoch[s] starts at 1 and bumps whenever slot s's aggregates or its
+// charger's tariff can have changed: on every join and leave, on reset,
+// and whenever the repair path invalidates the slot (a delta event
+// touched it, or it rebuilds the slot's sums). A cached value whose
+// stamp equals its slot's epoch was computed from the same inputs a
+// recomputation would read — the slot's aggregates, its charger, and the
+// device's own parameters (the repair path drops a device's row when
+// they change) — so it is bit-identical to recomputing it. Stamp 0 is
+// never valid.
 type chargerGame struct {
 	cm     *CostModel
 	scheme SharingScheme
@@ -175,7 +196,7 @@ type chargerGame struct {
 	// firstSlot maps charger → its first slot index.
 	firstSlot []int
 
-	cur []int // device -> slot
+	cur []int // device -> slot; -1 = added but not yet seated (repair)
 	// Aggregates per slot over current members.
 	count     []int
 	purchased []float64 // Σ demand_i/η
@@ -197,15 +218,65 @@ type chargerGame struct {
 	// ascending). Join and leave re-plan the touched slot's tour, so
 	// tour-aware shares depend only on the member set, never on join
 	// history — the property the pure-Nash verification needs.
-	mobility    bool
-	slotMembers [][]int
-	routeLen    []float64
-	tourScratch []int // planWith's reusable hypothetical member list
+	mobility     bool
+	slotMembers  [][]int
+	routeLen     []float64
+	tourScratch  []int     // planWith's reusable hypothetical member list
+	boundScratch []float64 // ShareBounds' per-slot row under capacities
 
 	pds bool // scheme is PDS (otherwise ESS semantics)
+
+	slotEpoch []uint32 // per slot; see the type comment
+	// charge[s] caches slot s's session term at its current membership
+	// (sessionCharge), valid while chargeStamp[s] == slotEpoch[s]; every
+	// member's share of its own slot reads it.
+	charge      []float64
+	chargeStamp []uint32
+	// memo caches hypothetical-join shares: memo.share[i*slots+s] is
+	// Share(i, s) computed while device i was outside slot s, valid while
+	// memo.stamp[i*slots+s] == slotEpoch[s]. A matching stamp also
+	// certifies that i is still outside s, since its own join or leave
+	// would have bumped the epoch. Nil when n·slots exceeds maxJoinMemo.
+	memo *joinMemo
 }
 
-var _ coalition.SocialGame = (*chargerGame)(nil)
+// joinMemo is the n×slots table of hypothetical-join shares. A game
+// discarded after its solve returns its table to memoPool, so
+// back-to-back solves reuse one buffer instead of allocating one each.
+type joinMemo struct {
+	share []float64
+	stamp []uint32
+}
+
+// maxJoinMemo caps the join memo at 4Mi entries (48 MiB). A capacitated
+// instance can have up to one slot per device per charger, and the memo
+// is only a cache: past the cap every join share is recomputed.
+const maxJoinMemo = 1 << 22
+
+// maxPooledMemo keeps one oversized solve from pinning its buffer in
+// memoPool for every later, smaller solve.
+const maxPooledMemo = 1 << 16
+
+var memoPool sync.Pool // of *joinMemo
+
+// newJoinMemo returns an all-invalid memo of size entries, recycling a
+// pooled buffer when one is large enough.
+func newJoinMemo(size int) *joinMemo {
+	m, _ := memoPool.Get().(*joinMemo)
+	// Both capacities: deviceAdded grows the two buffers by separate
+	// appends, which round to different size classes.
+	if m == nil || cap(m.share) < size || cap(m.stamp) < size {
+		return &joinMemo{share: make([]float64, size), stamp: make([]uint32, size)}
+	}
+	m.share, m.stamp = m.share[:size], m.stamp[:size]
+	clear(m.stamp)
+	return m
+}
+
+var (
+	_ coalition.SocialGame  = (*chargerGame)(nil)
+	_ coalition.BoundedGame = (*chargerGame)(nil)
+)
 
 // SessionSlots returns CCSGA's session-slot layout for the instance behind
 // cm: chargerOf maps each slot to its charger index, firstSlot maps each
@@ -266,7 +337,74 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 		g.slotMembers = make([][]int, n)
 		g.routeLen = make([]float64, n)
 	}
+	g.slotEpoch = make([]uint32, n)
+	for s := range g.slotEpoch {
+		g.slotEpoch[s] = 1
+	}
+	g.charge = make([]float64, n)
+	g.chargeStamp = make([]uint32, n)
+	if size := cm.NumDevices() * n; size <= maxJoinMemo {
+		g.memo = newJoinMemo(size)
+	}
 	return g, nil
+}
+
+// release hands the game's join memo back to memoPool; the game must
+// not be played afterwards. Nil-safe, and a no-op after the first call.
+func (g *chargerGame) release() {
+	if g == nil || g.memo == nil {
+		return
+	}
+	if max(cap(g.memo.share), cap(g.memo.stamp)) <= maxPooledMemo {
+		memoPool.Put(g.memo)
+	}
+	g.memo = nil
+}
+
+// invalidate makes every cached share of slot s stale. join, leave and
+// reset call it; the repair path calls it when a delta touches the slot
+// and when it rebuilds the slot's sums.
+func (g *chargerGame) invalidate(s int) { g.slotEpoch[s]++ }
+
+// memoized returns the cached hypothetical-join Share(i, s) and whether
+// its stamp is current.
+func (g *chargerGame) memoized(i, s int) (float64, bool) {
+	if g.memo == nil {
+		return 0, false
+	}
+	k := i*len(g.chargerOf) + s
+	return g.memo.share[k], g.memo.stamp[k] == g.slotEpoch[s]
+}
+
+// deviceAdded grows the per-device state by one unseated device (the
+// repair path seats it later); its memo row starts all-invalid.
+func (g *chargerGame) deviceAdded() {
+	g.cur = append(g.cur, -1)
+	g.sigma = append(g.sigma, 0) // set when the device is seated
+	if m := g.memo; m != nil {
+		m.share = append(m.share, make([]float64, len(g.chargerOf))...)
+		m.stamp = append(m.stamp, make([]uint32, len(g.chargerOf))...)
+	}
+}
+
+// deviceRemoved drops device i's per-device state; later devices shift
+// down one index, and their memo rows with them.
+func (g *chargerGame) deviceRemoved(i int) {
+	g.cur = append(g.cur[:i], g.cur[i+1:]...)
+	g.sigma = append(g.sigma[:i], g.sigma[i+1:]...)
+	if m, w := g.memo, len(g.chargerOf); m != nil {
+		m.share = append(m.share[:i*w], m.share[(i+1)*w:]...)
+		m.stamp = append(m.stamp[:i*w], m.stamp[(i+1)*w:]...)
+	}
+}
+
+// deviceUpdated refreshes device i's standalone cost and drops its memo
+// row: the device's own parameters entered every share cached for it.
+func (g *chargerGame) deviceUpdated(i int) {
+	g.sigma[i], _ = g.cm.StandaloneCost(i)
+	if m, w := g.memo, len(g.chargerOf); m != nil {
+		clear(m.stamp[i*w : (i+1)*w])
+	}
 }
 
 // initialAssignment returns the starting device→slot assignment: the
@@ -391,6 +529,7 @@ func (g *chargerGame) reset(assign []int) {
 		g.purchased[s] = 0
 		g.moveSum[s] = 0
 		g.sigmaSum[s] = 0
+		g.invalidate(s) // an emptied slot's sums change too (drift reset)
 	}
 	if g.mobility {
 		for s := range g.slotMembers {
@@ -406,6 +545,7 @@ func (g *chargerGame) reset(assign []int) {
 
 func (g *chargerGame) join(i, s int) {
 	j := g.chargerOf[s]
+	g.invalidate(s)
 	g.count[s]++
 	g.purchased[s] += g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
 	g.moveSum[s] += g.cm.MovingCost(i, j)
@@ -425,6 +565,7 @@ func (g *chargerGame) join(i, s int) {
 
 func (g *chargerGame) leave(i, s int) {
 	j := g.chargerOf[s]
+	g.invalidate(s)
 	g.count[s]--
 	g.purchased[s] -= g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
 	g.moveSum[s] -= g.cm.MovingCost(i, j)
@@ -446,25 +587,95 @@ func (g *chargerGame) NumAgents() int { return g.cm.NumDevices() }
 func (g *chargerGame) NumStrategies() int { return len(g.chargerOf) }
 
 // Share implements coalition.Game: device i's cost share if it joined
-// session slot s, holding everyone else fixed.
+// session slot s, holding everyone else fixed. Both cases read the
+// epoch-stamped caches (see the type comment); a miss computes exactly
+// what memberShare or joinShare computes.
 func (g *chargerGame) Share(i, s int) float64 {
+	if g.cur[i] == s {
+		if g.chargeStamp[s] != g.slotEpoch[s] {
+			g.charge[s], g.chargeStamp[s] = g.sessionCharge(s), g.slotEpoch[s]
+		}
+		return g.memberShare(i, s, g.charge[s])
+	}
+	if sh, ok := g.memoized(i, s); ok {
+		return sh
+	}
+	return g.memoize(i, s)
+}
+
+// memoize computes device i's join share of slot s and caches it.
+func (g *chargerGame) memoize(i, s int) float64 {
+	sh := g.joinShare(i, s)
+	if m := g.memo; m != nil {
+		k := i*len(g.chargerOf) + s
+		m.share[k], m.stamp[k] = sh, g.slotEpoch[s]
+	}
+	return sh
+}
+
+// ShareBounds implements coalition.BoundedGame: device i's moving cost
+// to each slot's charger. Under PDS a share is the moving cost plus
+// charging·mine/purchased, and every factor of that product is
+// nonnegative (Fee ≥ 0, a nondecreasing tariff with Price(0) = 0, a
+// travel leg ≥ 0), so the product rounds to ≥ 0 and, IEEE addition being
+// monotone, the rounded sum to ≥ the moving cost. The bound thus holds
+// exactly in floating point, and a full slot's +Inf satisfies it
+// trivially. ESS shares subtract a surplus and have no such bound.
+func (g *chargerGame) ShareBounds(i int) []float64 {
+	if !g.pds {
+		return nil
+	}
+	if row := g.cm.move[i]; len(row) == len(g.chargerOf) {
+		return row // one slot per charger: slot s is charger s
+	}
+	return g.slotBounds(i)
+}
+
+// slotBounds maps device i's moving-cost row onto the session slots.
+func (g *chargerGame) slotBounds(i int) []float64 {
+	buf := g.boundScratch[:0]
+	for _, j := range g.chargerOf {
+		buf = append(buf, g.cm.move[i][j])
+	}
+	g.boundScratch = buf
+	return buf
+}
+
+// sessionCharge is slot s's session-level term at its current
+// membership: fee plus tariff over the purchase, plus the travel leg of
+// a mobile charger's planned tour. Both schemes split it among members.
+func (g *chargerGame) sessionCharge(s int) float64 {
+	ch := &g.in.Chargers[g.chargerOf[s]]
+	charging := ch.Fee + ch.Tariff.Price(g.purchased[s])
+	if g.mobility && ch.Mobile {
+		charging += ch.MoveRate * g.routeLen[s]
+	}
+	return charging
+}
+
+// memberShare is member i's share of its own slot s, given the slot's
+// session term.
+func (g *chargerGame) memberShare(i, s int, charging float64) float64 {
+	j := g.chargerOf[s]
+	if g.pds {
+		myPurchased := g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
+		return g.cm.move[i][j] + charging*myPurchased/g.purchased[s]
+	}
+	cost := charging + g.moveSum[s]
+	surplusPer := (g.sigmaSum[s] - cost) / float64(g.count[s])
+	return g.sigma[i] - surplusPer
+}
+
+// joinShare is device i's share were it to join slot s (i outside s),
+// holding everyone else fixed: +Inf when the session capacity or the
+// mobile charger's travel budget cannot take it.
+func (g *chargerGame) joinShare(i, s int) float64 {
 	j := g.chargerOf[s]
 	ch := &g.in.Chargers[j]
 	myPurchased := g.in.Devices[i].Demand / ch.Efficiency
-	myMove := g.cm.MovingCost(i, j)
-
-	cnt := g.count[s]
-	purch := g.purchased[s]
-	moveSum := g.moveSum[s]
-	sigmaSum := g.sigmaSum[s]
-	if g.cur[i] != s { // hypothetical join
-		if ch.Capacity > 0 && purch+myPurchased > ch.Capacity*(1+1e-12) {
-			return math.Inf(1) // the session is full; joining is infeasible
-		}
-		cnt++
-		purch += myPurchased
-		moveSum += myMove
-		sigmaSum += g.sigma[i]
+	purch := g.purchased[s] + myPurchased
+	if ch.Capacity > 0 && purch > ch.Capacity*(1+1e-12) {
+		return math.Inf(1) // the session is full; joining is infeasible
 	}
 	charging := ch.Fee + ch.Tariff.Price(purch)
 	if g.mobility && ch.Mobile {
@@ -474,21 +685,19 @@ func (g *chargerGame) Share(i, s int) float64 {
 		// hypothetical join prices the marginal detour of the re-planned
 		// tour with the device included — and is infeasible outright when
 		// that tour overruns the charger's travel budget.
-		tourLen := g.routeLen[s]
-		if g.cur[i] != s {
-			tourLen = g.planWith(s, i)
-			if ch.TravelBudget > 0 && tourLen > ch.TravelBudget*(1+1e-12) {
-				return math.Inf(1)
-			}
+		tourLen := g.planWith(s, i)
+		if ch.TravelBudget > 0 && tourLen > ch.TravelBudget*(1+1e-12) {
+			return math.Inf(1)
 		}
 		charging += ch.MoveRate * tourLen
 	}
+	myMove := g.cm.move[i][j]
 	if g.pds {
 		return myMove + charging*myPurchased/purch
 	}
 	// ESS.
-	cost := charging + moveSum
-	surplusPer := (sigmaSum - cost) / float64(cnt)
+	cost := charging + (g.moveSum[s] + myMove)
+	surplusPer := ((g.sigmaSum[s] + g.sigma[i]) - cost) / float64(g.count[s]+1)
 	return g.sigma[i] - surplusPer
 }
 

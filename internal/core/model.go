@@ -309,10 +309,21 @@ func (cm *CostModel) deviceRow(d Device) (row []float64, standalone float64, sta
 // standaloneFor computes device d's cheapest singleton session over a
 // precomputed moving-cost row — shared by deviceRow and SetTariff (which
 // must re-rank singletons without recomputing unchanged move costs).
+//
+// A charger whose fee plus moving cost already reaches the best cost so
+// far is skipped before its tariff is priced. The skip is exact: the
+// tariff and a mobile charger's travel leg are nonnegative, and IEEE
+// addition is monotone, so the full cost would round to at least
+// Fee+row[j] and lose the strict comparison anyway. Chargers are still
+// visited in index order, so ties resolve as before.
 func (cm *CostModel) standaloneFor(d Device, row []float64) (float64, int) {
 	best, bestJ := math.Inf(1), -1
-	for j, c := range cm.inst.Chargers {
+	for j := range cm.inst.Chargers {
+		c := &cm.inst.Chargers[j]
 		if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
+			continue
+		}
+		if c.Fee+row[j] >= best {
 			continue
 		}
 		cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + row[j]

@@ -45,21 +45,6 @@ type RepairState struct {
 	dirty    map[int]struct{} // slots whose aggregates changed since convergence
 	unseeded int              // count of assign[i] == -1 entries
 
-	// joinShare memoizes hypothetical-join shares across repairs:
-	// joinShare[i*memoSlots+s] holds g.Share(i, s) computed while device i
-	// was not in slot s, valid while its stamp equals slotEpoch[s]. A
-	// slot's epoch bumps whenever its aggregates can have changed (a delta
-	// dirtied it, or a switch moved a device in or out — membership
-	// changes of i itself included, so a fresh stamp also certifies i is
-	// still outside s), and a device's row resets when its own parameters
-	// change, so a stamped entry is bit-identical to recomputation. This
-	// is what makes a frontier member's full best-response cheap: only the
-	// dirty slots' shares are recomputed, the clean columns are reads.
-	joinShare []float64
-	joinStamp []uint32
-	slotEpoch []uint32 // starts at 1; stamp 0 is never valid
-	memoSlots int
-
 	// updated collects the devices whose seat changed during the current
 	// repair (seated newcomers plus accepted switches), so solve can patch
 	// the WarmStart carrier in O(changes) instead of re-recording all n.
@@ -108,10 +93,7 @@ func (rs *RepairState) deviceAdded() {
 	}
 	rs.assign = append(rs.assign, -1)
 	rs.share = append(rs.share, 0)
-	rs.game.cur = append(rs.game.cur, -1)
-	rs.game.sigma = append(rs.game.sigma, 0) // set when the device is seated
-	rs.joinShare = append(rs.joinShare, make([]float64, rs.memoSlots)...)
-	rs.joinStamp = append(rs.joinStamp, make([]uint32, rs.memoSlots)...)
+	rs.game.deviceAdded()
 	rs.unseeded++
 	if rs.cm.HasCapacity() {
 		rs.layoutSuspect = true // total demand grew; slot counts may change
@@ -129,10 +111,7 @@ func (rs *RepairState) deviceRemoved(i int) {
 	}
 	rs.assign = append(rs.assign[:i], rs.assign[i+1:]...)
 	rs.share = append(rs.share[:i], rs.share[i+1:]...)
-	rs.game.cur = append(rs.game.cur[:i], rs.game.cur[i+1:]...)
-	rs.game.sigma = append(rs.game.sigma[:i], rs.game.sigma[i+1:]...)
-	rs.joinShare = append(rs.joinShare[:i*rs.memoSlots], rs.joinShare[(i+1)*rs.memoSlots:]...)
-	rs.joinStamp = append(rs.joinStamp[:i*rs.memoSlots], rs.joinStamp[(i+1)*rs.memoSlots:]...)
+	rs.game.deviceRemoved(i)
 	if rs.cm.HasCapacity() {
 		rs.layoutSuspect = true
 	}
@@ -142,10 +121,7 @@ func (rs *RepairState) deviceUpdated(i int) {
 	if !rs.primed {
 		return
 	}
-	rs.game.sigma[i], _ = rs.cm.StandaloneCost(i)
-	for k := i * rs.memoSlots; k < (i+1)*rs.memoSlots; k++ {
-		rs.joinStamp[k] = 0 // the device's own parameters entered every cached share
-	}
+	rs.game.deviceUpdated(i)
 	if s := rs.assign[i]; s >= 0 {
 		// The device's own contributions changed, so its slot is dirty —
 		// which also makes the device itself a frontier member with a
@@ -179,6 +155,7 @@ func (rs *RepairState) tariffSet(j int) {
 
 func (rs *RepairState) markDirty(s int) {
 	rs.dirty[s] = struct{}{}
+	rs.game.invalidate(s)
 }
 
 // markUpdated notes a device whose seat changed during the current
@@ -248,6 +225,7 @@ func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*
 // and primes the state from the converged game. reason is non-empty when
 // this is a fallback from an attempted repair.
 func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*CCSGAResult, error) {
+	rs.invalidate() // release the old game's memo for the new one to reuse
 	if ws != nil {
 		init, err := ws.Seed(rs.cm)
 		if err != nil {
@@ -256,7 +234,7 @@ func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*C
 		}
 		opts.Init = init
 	}
-	res, game, assign, err := ccsgaSolve(rs.cm, opts)
+	res, game, assign, err := ccsgaSolve(rs.cm, opts, nil)
 	if err != nil {
 		rs.invalidate()
 		return nil, err
@@ -269,10 +247,12 @@ func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*C
 	return res, nil
 }
 
-// prime adopts a converged game and assignment as the repair baseline.
-// Aggregates are rebuilt from scratch (one ascending join sweep) so the
-// floating-point baseline is the same regardless of the switch history
-// that reached the equilibrium.
+// prime adopts a converged game — its aggregates and its share memo —
+// and the assignment as the repair baseline. Aggregates are rebuilt from
+// scratch (one ascending join sweep) so the floating-point baseline is
+// the same regardless of the switch history that reached the
+// equilibrium; the rebuild invalidates every slot, so no share cached
+// during the solve survives into the first repair.
 func (rs *RepairState) prime(g *chargerGame, assign []int) {
 	rs.game = g
 	g.reset(assign)
@@ -282,15 +262,6 @@ func (rs *RepairState) prime(g *chargerGame, assign []int) {
 	}
 	rs.share = rs.share[:len(assign)]
 	rs.baselineFilled = false // per-device bars fill at the first repair
-	// Fresh memo: all stamps invalid (0 < every epoch), filled lazily as
-	// repairs evaluate candidates.
-	rs.memoSlots = len(g.chargerOf)
-	rs.joinShare = make([]float64, len(assign)*rs.memoSlots)
-	rs.joinStamp = make([]uint32, len(assign)*rs.memoSlots)
-	rs.slotEpoch = make([]uint32, rs.memoSlots)
-	for s := range rs.slotEpoch {
-		rs.slotEpoch[s] = 1
-	}
 	for s := range rs.dirty {
 		delete(rs.dirty, s)
 	}
@@ -302,13 +273,10 @@ func (rs *RepairState) prime(g *chargerGame, assign []int) {
 
 // invalidate drops the primed equilibrium; the next solve is full.
 func (rs *RepairState) invalidate() {
+	rs.game.release()
 	rs.game = nil
 	rs.assign = rs.assign[:0]
 	rs.share = rs.share[:0]
-	rs.joinShare = nil
-	rs.joinStamp = nil
-	rs.slotEpoch = nil
-	rs.memoSlots = 0
 	for s := range rs.dirty {
 		delete(rs.dirty, s)
 	}
@@ -400,6 +368,7 @@ func (rs *RepairState) rebuildDirty(isDirty []bool) {
 	g := rs.game
 	in := g.in
 	for s := range rs.dirty {
+		g.invalidate(s)
 		g.count[s] = 0
 		g.purchased[s] = 0
 		g.moveSum[s] = 0
@@ -472,9 +441,6 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		dirtyList = append(dirtyList, s)
 	}
 	sort.Ints(dirtyList)
-	for _, s := range dirtyList {
-		rs.slotEpoch[s]++ // deltas changed these slots' aggregates
-	}
 	rs.rebuildDirty(isDirty)
 	base := 0 // dirty-slot membership: a lower bound on the frontier
 	for _, s := range dirtyList {
@@ -527,44 +493,38 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 				curShare = rs.share[i]
 			}
 			candS, candShare := -1, 0.0
+			bounds := g.ShareBounds(i)
 			consider := func(s int) {
 				if s == cur {
 					return
 				}
-				idx := i*rs.memoSlots + s
-				if rs.joinStamp[idx] == rs.slotEpoch[s] {
-					if !full {
-						// Memo invariant: a still-stamped share was evaluated
-						// against a bar no larger than this device's current
-						// one (its share only drops by moving to something
-						// strictly better, and only rises through a full
-						// best-response that re-judged every slot), so it
-						// cannot clear the strict improvement test now. Clean
-						// devices skip it; frontier members keep it as an
-						// argmin candidate because their bar just moved.
-						return
-					}
-					sh := rs.joinShare[idx]
-					if candS < 0 || sh < candShare || (sh == candShare && s < candS) {
-						candS, candShare = s, sh
-					}
+				sh, memoized := g.memoized(i, s)
+				if memoized && !full {
+					// Memo invariant: a still-stamped share was evaluated
+					// against a bar no larger than this device's current
+					// one (its share only drops by moving to something
+					// strictly better, and only rises through a full
+					// best-response that re-judged every slot), so it
+					// cannot clear the strict improvement test now. Clean
+					// devices skip it; frontier members keep it as an
+					// argmin candidate because their bar just moved. (Only
+					// this repair's own stamps can match here: a clean
+					// device looks at dirty slots only, and every dirty
+					// slot was invalidated since the last repair.)
 					return
 				}
-				if g.pds {
-					// PDS shares are bounded below by the moving cost, so a
-					// slot whose travel alone beats neither the bar nor the
-					// candidate can skip the tariff evaluation. (Safe for the
+				if !memoized {
+					// A slot whose share bound beats neither the bar nor
+					// the candidate can skip the evaluation. (Safe for the
 					// tie-break: a skipped slot's share strictly exceeds the
-					// candidate's, so it can never be the argmin. Filtered
+					// candidate's, so it can never be the argmin. Skipped
 					// slots stay unstamped — the bound says nothing about
 					// their share against a future, higher bar.)
-					if mv := cm.MovingCost(i, g.chargerOf[s]); mv >= curShare-eps || (candS >= 0 && mv > candShare) {
+					if bounds != nil && (bounds[s] >= curShare-eps || (candS >= 0 && bounds[s] > candShare)) {
 						return
 					}
+					sh = g.memoize(i, s)
 				}
-				sh := g.Share(i, s)
-				rs.joinShare[idx] = sh
-				rs.joinStamp[idx] = rs.slotEpoch[s]
 				if candS < 0 || sh < candShare || (sh == candShare && s < candS) {
 					candS, candShare = s, sh
 				}
@@ -591,8 +551,6 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 			if candS >= 0 && candShare < curShare-eps {
 				g.Move(i, cur, candS)
 				rs.assign[i] = candS
-				rs.slotEpoch[cur]++ // both slots' aggregates just changed
-				rs.slotEpoch[candS]++
 				// The hypothetical-join share is computed from the same
 				// aggregate additions join just applied, so it is the
 				// post-move share bit-for-bit.

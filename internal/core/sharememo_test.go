@@ -1,0 +1,441 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/coalition"
+	"repro/internal/pricing"
+)
+
+// plainGame plays a chargerGame with every shortcut hidden: it does not
+// implement coalition.BoundedGame, so the engine evaluates every slot,
+// and its Share is the pre-memo evaluation (referenceShare), which reads
+// no cache. Moves still go through the game, so its aggregates evolve
+// exactly as on the fast path.
+type plainGame struct{ g *chargerGame }
+
+func (p plainGame) NumAgents() int       { return p.g.NumAgents() }
+func (p plainGame) NumStrategies() int   { return p.g.NumStrategies() }
+func (p plainGame) Move(i, from, to int) { p.g.Move(i, from, to) }
+func (p plainGame) TotalCost() float64   { return p.g.TotalCost() }
+func (p plainGame) Share(i, s int) float64 {
+	return referenceShare(p.g, i, s)
+}
+
+func plainView(g *chargerGame) coalition.Game { return plainGame{g} }
+
+// referenceShare is chargerGame.Share as it was before the share memo:
+// every call recomputes the share from the slot aggregates.
+func referenceShare(g *chargerGame, i, s int) float64 {
+	j := g.chargerOf[s]
+	ch := &g.in.Chargers[j]
+	myPurchased := g.in.Devices[i].Demand / ch.Efficiency
+	myMove := g.cm.MovingCost(i, j)
+
+	cnt := g.count[s]
+	purch := g.purchased[s]
+	moveSum := g.moveSum[s]
+	sigmaSum := g.sigmaSum[s]
+	if g.cur[i] != s { // hypothetical join
+		if ch.Capacity > 0 && purch+myPurchased > ch.Capacity*(1+1e-12) {
+			return math.Inf(1)
+		}
+		cnt++
+		purch += myPurchased
+		moveSum += myMove
+		sigmaSum += g.sigma[i]
+	}
+	charging := ch.Fee + ch.Tariff.Price(purch)
+	if g.mobility && ch.Mobile {
+		tourLen := g.routeLen[s]
+		if g.cur[i] != s {
+			tourLen = g.planWith(s, i)
+			if ch.TravelBudget > 0 && tourLen > ch.TravelBudget*(1+1e-12) {
+				return math.Inf(1)
+			}
+		}
+		charging += ch.MoveRate * tourLen
+	}
+	if g.pds {
+		return myMove + charging*myPurchased/purch
+	}
+	cost := charging + moveSum
+	surplusPer := (sigmaSum - cost) / float64(cnt)
+	return g.sigma[i] - surplusPer
+}
+
+// countingTariff counts Price evaluations, the unit of work the share
+// memo and the moving-cost bound exist to save.
+type countingTariff struct {
+	pricing.Tariff
+	calls *int
+}
+
+func (c countingTariff) Price(e float64) float64 {
+	*c.calls++
+	return c.Tariff.Price(e)
+}
+
+// withCountingTariffs returns a copy of in whose tariffs all count into
+// one shared counter.
+func withCountingTariffs(in *Instance) (*Instance, *int) {
+	calls := new(int)
+	cp := cloneInstance(in)
+	for j := range cp.Chargers {
+		cp.Chargers[j].Tariff = countingTariff{cp.Chargers[j].Tariff, calls}
+	}
+	return cp, calls
+}
+
+// solveBothPaths solves in on the fast path and on the plain path, each
+// over its own cost model, and returns both outcomes with the tariff
+// prices each solve evaluated (model construction excluded).
+func solveBothPaths(t *testing.T, in *Instance, opts CCSGAOptions) (fast, plain ccsgaOutcome) {
+	t.Helper()
+	run := func(view func(*chargerGame) coalition.Game) ccsgaOutcome {
+		cp, calls := withCountingTariffs(in)
+		cm := mustCostModel(t, cp)
+		*calls = 0
+		res, _, assign, err := ccsgaSolve(cm, opts, view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ccsgaOutcome{res: res, assign: assign, prices: *calls}
+	}
+	return run(nil), run(plainView)
+}
+
+type ccsgaOutcome struct {
+	res    *CCSGAResult
+	assign []int
+	prices int
+}
+
+// sameOutcome reports the first field on which two solves differ, or "".
+func sameOutcome(a, b ccsgaOutcome) string {
+	switch {
+	case !reflect.DeepEqual(a.assign, b.assign):
+		return fmt.Sprintf("assignment %v vs %v", a.assign, b.assign)
+	case a.res.Passes != b.res.Passes:
+		return fmt.Sprintf("passes %d vs %d", a.res.Passes, b.res.Passes)
+	case a.res.Switches != b.res.Switches:
+		return fmt.Sprintf("switches %d vs %d", a.res.Switches, b.res.Switches)
+	case a.res.Converged != b.res.Converged:
+		return fmt.Sprintf("converged %v vs %v", a.res.Converged, b.res.Converged)
+	case a.res.NashStable != b.res.NashStable:
+		return fmt.Sprintf("nash %v vs %v", a.res.NashStable, b.res.NashStable)
+	case !schedulesEqual(a.res.Schedule, b.res.Schedule):
+		return "schedules differ"
+	}
+	return ""
+}
+
+// TestShareMemoMatchesPlainPath is the differential referee for the
+// share memo and the moving-cost bound: on seeded instances covering
+// both sharing schemes, session capacities, mobile chargers with travel
+// budgets, randomized visiting orders, warm seeds, the Social rule and
+// pass-capped runs, the fast path must reproduce the plain path's
+// assignment, pass and switch counts, convergence and Nash verdict
+// exactly — and never evaluate more tariff prices.
+func TestShareMemoMatchesPlainPath(t *testing.T) {
+	r := rand.New(rand.NewSource(1414))
+	var fastPrices, plainPrices int
+	for trial := 0; trial < 48; trial++ {
+		n, m := 4+r.Intn(40), 2+r.Intn(6) // m ≥ 2: one stationary charger seats what budgets cannot
+		var in *Instance
+		kind := trial % 4
+		switch kind {
+		case 0:
+			in = randInstance(r, n, m)
+		case 1:
+			in = warmInstance(r, n, m, true)
+		case 2:
+			in = randMobileInstance(r, n, m)
+		default:
+			in = warmInstance(r, n, m, false)
+		}
+		var opts CCSGAOptions
+		if trial%3 == 1 {
+			opts.Scheme = ESS{}
+		}
+		if trial%5 == 2 {
+			opts.Seed = int64(trial) + 1
+		}
+		switch trial % 8 {
+		case 5:
+			opts.MaxPasses = 1
+		case 7:
+			opts.Rule = coalition.Social
+		}
+		if kind == 3 {
+			// Warm seed: the equilibrium of a perturbed predecessor.
+			ws := NewWarmStart()
+			prev := mustCostModel(t, cloneInstance(in))
+			res, err := CCSGA(prev, CCSGAOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws.Record(prev.Instance(), res.Schedule)
+			in = perturb(r, in, trial)
+			init, err := ws.Seed(mustCostModel(t, cloneInstance(in)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Init = init
+		}
+		tag := fmt.Sprintf("trial %d (n=%d m=%d kind=%d scheme=%v seed=%d rule=%v passes=%d)",
+			trial, len(in.Devices), m, kind, opts.Scheme, opts.Seed, opts.Rule, opts.MaxPasses)
+		fast, plain := solveBothPaths(t, in, opts)
+		if d := sameOutcome(fast, plain); d != "" {
+			t.Fatalf("%s: fast path diverged from plain path: %s", tag, d)
+		}
+		if fast.prices > plain.prices {
+			t.Errorf("%s: fast path priced %d tariffs, plain path %d", tag, fast.prices, plain.prices)
+		}
+		fastPrices += fast.prices
+		plainPrices += plain.prices
+	}
+	t.Logf("tariff prices over all trials: fast %d, plain %d", fastPrices, plainPrices)
+}
+
+// TestShareMemoPricesFewerTariffs pins that the shortcuts are live: on
+// a fixed instance the fast path must evaluate strictly fewer tariff
+// prices than the plain path, under PDS (bound and memo) and under ESS
+// (memo only), so a silently disabled memo fails here.
+func TestShareMemoPricesFewerTariffs(t *testing.T) {
+	in := randInstance(rand.New(rand.NewSource(7)), 60, 8)
+	for _, scheme := range []SharingScheme{PDS{}, ESS{}} {
+		fast, plain := solveBothPaths(t, in, CCSGAOptions{Scheme: scheme})
+		if d := sameOutcome(fast, plain); d != "" {
+			t.Fatalf("%s: fast path diverged from plain path: %s", scheme.Name(), d)
+		}
+		if fast.prices >= plain.prices {
+			t.Errorf("%s: fast path priced %d tariffs, plain path %d; want strictly fewer",
+				scheme.Name(), fast.prices, plain.prices)
+		}
+		t.Logf("%s: fast %d prices, plain %d", scheme.Name(), fast.prices, plain.prices)
+	}
+}
+
+// TestStandaloneSkipMatchesPlainScan checks the cost model's exact
+// fee-plus-moving-cost skip: every device's standalone cost and charger
+// must equal the plain scan that prices every feasible charger.
+func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
+	r := rand.New(rand.NewSource(2121))
+	for trial := 0; trial < 30; trial++ {
+		n, m := 1+r.Intn(30), 1+r.Intn(9)
+		var in *Instance
+		switch trial % 3 {
+		case 0:
+			in = randInstance(r, n, m)
+		case 1:
+			in = warmInstance(r, n, m, true)
+		default:
+			in = randMobileInstance(r, n, m)
+		}
+		cm := mustCostModel(t, in)
+		for i, d := range in.Devices {
+			best, bestJ := math.Inf(1), -1
+			for j, c := range in.Chargers {
+				if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
+					continue
+				}
+				cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + cm.MovingCost(i, j)
+				if c.Mobile {
+					if !c.reaches(d.Pos) {
+						continue
+					}
+					cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
+				}
+				if cost < best {
+					best, bestJ = cost, j
+				}
+			}
+			if got, gotJ := cm.StandaloneCost(i); got != best || gotJ != bestJ {
+				t.Fatalf("trial %d device %d: standalone (%v, %d), plain scan (%v, %d)",
+					trial, i, got, gotJ, best, bestJ)
+			}
+		}
+	}
+}
+
+// TestShareMemoHitsAndInvalidates pins each cache on its own: a repeated
+// hypothetical join and a repeated own-slot share price the tariff once,
+// and a move into the slot makes the next join share recompute — to the
+// value the plain evaluation gives.
+func TestShareMemoHitsAndInvalidates(t *testing.T) {
+	for _, scheme := range []SharingScheme{PDS{}, ESS{}} {
+		in, calls := withCountingTariffs(randInstance(rand.New(rand.NewSource(3)), 12, 4))
+		cm := mustCostModel(t, in)
+		g, err := newChargerGame(cm, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, err := g.initialAssignment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.reset(init)
+		i, k := 0, 1
+		s := (g.cur[i] + 1) % g.NumStrategies()
+		priced := func(f func() float64) (float64, int) {
+			*calls = 0
+			v := f()
+			return v, *calls
+		}
+		join := func() float64 { return g.Share(i, s) }
+		if _, n := priced(join); n != 1 {
+			t.Fatalf("%s: first join share priced %d tariffs, want 1", scheme.Name(), n)
+		}
+		if _, n := priced(join); n != 0 {
+			t.Errorf("%s: repeated join share priced %d tariffs, want 0 (memo hit)", scheme.Name(), n)
+		}
+		own := func() float64 { return g.Share(k, g.cur[k]) }
+		priced(own)
+		if _, n := priced(own); n != 0 {
+			t.Errorf("%s: repeated own-slot share priced %d tariffs, want 0 (session-term hit)", scheme.Name(), n)
+		}
+		if g.cur[k] == s {
+			k = 2
+		}
+		g.Move(k, g.cur[k], s)
+		got, n := priced(join)
+		if n != 1 {
+			t.Errorf("%s: join share after a move into the slot priced %d tariffs, want 1", scheme.Name(), n)
+		}
+		if want := referenceShare(g, i, s); got != want {
+			t.Errorf("%s: join share after a move = %v, plain evaluation %v", scheme.Name(), got, want)
+		}
+	}
+}
+
+// requireMemoExact asserts the memo invariant directly: every Share the
+// game would answer from its caches equals the plain evaluation bit for
+// bit.
+func requireMemoExact(t *testing.T, g *chargerGame, tag string) {
+	t.Helper()
+	for i := range g.cur {
+		if g.cur[i] < 0 {
+			continue // added by a delta, seated at the next repair
+		}
+		for s := 0; s < g.NumStrategies(); s++ {
+			want := referenceShare(g, i, s)
+			if got := g.Share(i, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: Share(%d, %d) = %v from the caches, plain evaluation %v", tag, i, s, got, want)
+			}
+		}
+	}
+}
+
+// TestShareMemoExactAcrossLifecycle checks the memo invariant through
+// everything that can change a share: switch dynamics, the aggregate
+// rebuild when a repair state primes, random moves, and a stream of
+// delta events with the repairs between them (the delta listener's
+// invalidations, row drops and row shifts).
+func TestShareMemoExactAcrossLifecycle(t *testing.T) {
+	for _, capacitated := range []bool{false, true} {
+		r := rand.New(rand.NewSource(515))
+		in := warmInstance(r, 24, 4, capacitated)
+		cm := mustCostModel(t, in)
+		ws, rs := NewWarmStart(), NewRepairState()
+		sched := CCSGAScheduler{}
+		if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
+			t.Fatal(err)
+		}
+		requireMemoExact(t, rs.game, "after prime")
+		for step := 0; step < 40; step++ {
+			tag, err := randomRepairDelta(r, cm, step)
+			if err != nil {
+				t.Fatalf("step %d %s: %v", step, tag, err)
+			}
+			if rs.primed {
+				requireMemoExact(t, rs.game, fmt.Sprintf("step %d after %s", step, tag))
+			}
+			if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
+				t.Fatalf("step %d %s: %v", step, tag, err)
+			}
+			requireMemoExact(t, rs.game, fmt.Sprintf("step %d repaired after %s", step, tag))
+		}
+
+		// Random moves on a cold game: every join and leave must
+		// invalidate exactly what it changed.
+		g, err := newChargerGame(cm, PDS{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		init, err := g.initialAssignment()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.reset(init)
+		for step := 0; step < 60; step++ {
+			requireMemoExact(t, g, fmt.Sprintf("move %d", step))
+			i, to := r.Intn(cm.NumDevices()), r.Intn(g.NumStrategies())
+			if from := g.cur[i]; from != to {
+				g.Move(i, from, to)
+			}
+		}
+		g.reset(append([]int(nil), g.cur...))
+		requireMemoExact(t, g, "after reset")
+	}
+}
+
+// TestShareMemoPoolConcurrentSolves shares memoPool between goroutines
+// solving instances of different sizes, so buffers are recycled across
+// solves, sizes and goroutines; every answer must equal its serial
+// solve. Run under -race.
+func TestShareMemoPoolConcurrentSolves(t *testing.T) {
+	r := rand.New(rand.NewSource(88))
+	var models []*CostModel
+	var want []*CCSGAResult
+	for k := 0; k < 6; k++ {
+		cm := mustCostModel(t, warmInstance(r, 10+15*k, 2+k, k%2 == 1))
+		res, err := CCSGA(cm, CCSGAOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, want = append(models, cm), append(want, res)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for step := 0; step < 12; step++ {
+				k := (w + step) % len(models)
+				got, err := CCSGA(models[k], CCSGAOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !schedulesEqual(got.Schedule, want[k].Schedule) || got.Passes != want[k].Passes ||
+					got.Switches != want[k].Switches {
+					t.Errorf("worker %d step %d: instance %d solved differently than serially", w, step, k)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestJoinMemoReuseChecksBothBuffers recycles a memo whose buffers grew
+// apart (repair's deviceAdded appends to each separately): reuse must
+// check both capacities rather than slice the shorter one out of range.
+func TestJoinMemoReuseChecksBothBuffers(t *testing.T) {
+	memoPool.Put(&joinMemo{share: make([]float64, 0, 128), stamp: make([]uint32, 0, 120)})
+	m := newJoinMemo(128)
+	if len(m.share) != 128 || len(m.stamp) != 128 {
+		t.Fatalf("memo lengths %d/%d, want 128", len(m.share), len(m.stamp))
+	}
+	for k, st := range m.stamp {
+		if st != 0 {
+			t.Fatalf("stamp %d = %d, want an all-invalid memo", k, st)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -33,7 +34,7 @@ func ext1() Experiment {
 				non, ga, ccsa, sessions float64
 			}
 			cells := make([]cell, len(multiples)*reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				mult := multiples[idx/reps]
 				rep := idx % reps
 				seed := rng.DeriveSeed(cfg.Seed, "ext1", fmt.Sprintf("m%g-rep%d", mult, rep))
@@ -148,7 +149,7 @@ func ext2() Experiment {
 				static, dispatch float64
 			}
 			cells := make([]cell, len(rates)*reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				rate := rates[idx/reps]
 				rep := idx % reps
 				seed := rng.DeriveSeed(cfg.Seed, "ext2", fmt.Sprintf("r%g-rep%d", rate, rep))

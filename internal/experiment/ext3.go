@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/online"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -43,7 +44,7 @@ func ext3() Experiment {
 				misses, uncovered   int
 			}
 			cells := make([]cell, len(policies)*reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				p := policies[idx/reps]
 				rep := idx % reps
 				seed := rng.DeriveSeed(cfg.Seed, "ext3", fmt.Sprintf("rep-%d", rep))
@@ -159,7 +160,7 @@ func ext3Warm(cfg Config) (*Result, error) {
 		stable                     bool
 	}
 	cells := make([]cell, len(policies)*reps)
-	err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+	err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 		p := policies[idx/reps]
 		rep := idx % reps
 		seed := rng.DeriveSeed(cfg.Seed, "ext3-warm", fmt.Sprintf("rep-%d", rep))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/mechanism"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -36,7 +37,7 @@ func ext4() Experiment {
 				efficient, audited    int
 			}
 			cells := make([]cell, reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), reps, func(_ context.Context, rep int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), reps, func(_ context.Context, rep int) error {
 				seed := rng.DeriveSeed(cfg.Seed, "ext4", fmt.Sprintf("rep-%d", rep))
 				in, err := gen.Instance(seed, defaultParams(20, 5))
 				if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -77,7 +78,7 @@ func ext4Mobile() Experiment {
 				coverStat, coverAware float64
 			}
 			cells := make([]cell, reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), reps, func(_ context.Context, rep int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), reps, func(_ context.Context, rep int) error {
 				seed := rng.DeriveSeed(cfg.Seed, "ext4-mobile", fmt.Sprintf("rep-%d", rep))
 				// MobileFrac draws from its own derived stream, so both
 				// fleets share geometry, demands and tariffs exactly.

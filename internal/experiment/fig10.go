@@ -9,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/mwrsn"
+	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -58,7 +59,7 @@ func fig10() Experiment {
 			// its own node population from the same derived seed), so
 			// they run concurrently; rows render in the fixed run order.
 			metrics := make([]*mwrsn.Metrics, len(runs))
-			err = ParallelMap(context.Background(), cfg.workerCount(), len(runs), func(_ context.Context, i int) error {
+			err = par.Map(context.Background(), cfg.workerCount(), len(runs), func(_ context.Context, i int) error {
 				run := runs[i]
 				m, err := mwrsn.Run(mwrsn.Config{
 					Field:    geom.Square(1000),

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -112,7 +113,7 @@ func fig8() Experiment {
 				converged, stable bool
 			}
 			cells := make([]cell, len(sizes)*reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				n := sizes[idx/reps]
 				rep := idx % reps
 				seed := rng.DeriveSeed(cfg.Seed, "fig8", fmt.Sprintf("n%d-rep%d", n, rep))
@@ -195,7 +196,7 @@ func fig9() Experiment {
 				budgetErr       float64
 			}
 			cells := make([]cell, len(schemes)*reps)
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				scheme := schemes[idx/reps]
 				rep := idx % reps
 				seed := rng.DeriveSeed(cfg.Seed, "fig9", fmt.Sprintf("rep%d", rep))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -39,7 +40,7 @@ type sweepPoint struct {
 // byte-identical to a serial sweep for any worker count.
 func sweepGrid(cfg Config, points []sweepPoint, reps int) ([]map[string][]float64, error) {
 	cells := make([]map[string]float64, len(points)*reps)
-	err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+	err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 		pt := points[idx/reps]
 		rep := idx % reps
 		seed := rng.DeriveSeed(cfg.Seed, pt.label, fmt.Sprintf("rep-%d", rep))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/plot"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -33,7 +34,7 @@ func table2() Experiment {
 			// run concurrently; samples assemble in (trial, scheduler)
 			// order, matching the serial harness exactly.
 			cells := make([]*testbed.TrialResult, trials*len(scheds))
-			err := ParallelMap(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
+			err := par.Map(context.Background(), cfg.workerCount(), len(cells), func(_ context.Context, idx int) error {
 				trial := idx / len(scheds)
 				s := scheds[idx%len(scheds)]
 				seed := rng.DeriveSeed(cfg.Seed, "table2", fmt.Sprintf("trial-%d", trial))

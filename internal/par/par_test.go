@@ -8,7 +8,8 @@ import (
 )
 
 func TestMapRunsEveryItem(t *testing.T) {
-	for _, workers := range []int{1, 4, 16} {
+	// 0 = GOMAXPROCS; 128 > n exercises the clamp to one worker per item.
+	for _, workers := range []int{0, 1, 2, 4, 7, 16, 128} {
 		n := 100
 		hit := make([]int32, n)
 		if err := Map(context.Background(), workers, n, func(_ context.Context, i int) error {

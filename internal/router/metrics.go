@@ -21,7 +21,8 @@ func (rt *Router) register(reg *obs.Registry) {
 	reg.CounterFunc("ccsrouter_binary_conns_total", func() float64 { return float64(rt.binConns.Load()) })
 	rt.inflightConns = reg.Gauge("ccsrouter_inflight_connections")
 	if rt.replay != nil {
-		reg.CounterFunc("ccsrouter_replay_entries", func() float64 { return float64(rt.replay.Stats().Size) })
+		// A size, not a count: it shrinks on eviction, so it is a gauge.
+		reg.GaugeFunc("ccsrouter_replay_entries", func() float64 { return float64(rt.replay.Stats().Size) })
 	}
 	for _, b := range rt.backends {
 		b := b
