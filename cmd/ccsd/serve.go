@@ -331,7 +331,7 @@ func (s *solveServer) register(reg *obs.Registry) {
 		s.met.deltaSolveSec = make(map[string]*obs.Histogram, len(schedulerNames))
 		for _, name := range schedulerNames {
 			if sched, err := schedulerByName(name); err == nil {
-				if _, warm := sched.(core.WarmScheduler); warm {
+				if _, warm := sched.(core.RepairScheduler); warm {
 					s.met.deltaSolveSec[name] = reg.Histogram("ccsd_delta_solve_seconds", obs.DefaultLatencyBuckets, "scheduler", name)
 				}
 			}
@@ -458,7 +458,7 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 	// one-shot solves go cell-parallel. Non-warm schedulers keep the
 	// whole-field path.
 	options := ""
-	if ws, ok := sched.(core.WarmScheduler); ok && s.shard.CellSize > 0 {
+	if ws, ok := sched.(core.RepairScheduler); ok && s.shard.CellSize > 0 {
 		cfg := s.shard
 		// The cache key carries the sharding geometry — a sharded schedule
 		// is a different artifact than a whole-field one — but not Workers,

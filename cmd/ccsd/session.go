@@ -62,13 +62,12 @@ type sessionDelta struct {
 type session struct {
 	id        uint64
 	schedName string
-	sched     core.WarmScheduler
-	// repair and rs arm the incremental dirty-set repair path: when the
-	// scheduler supports it (CCSGA does), delta solves repair the primed
-	// equilibrium over the slots the batch dirtied instead of re-running
-	// the full warm dynamics. Both nil when repair is off.
-	repair core.RepairScheduler
-	rs     *core.RepairState
+	sched     core.RepairScheduler
+	// rs arms the incremental dirty-set repair path: delta solves repair
+	// the primed equilibrium over the slots the batch dirtied instead of
+	// re-running the full warm dynamics. Nil when repair is off, which
+	// makes every solve the full warm path.
+	rs *core.RepairState
 
 	mu       sync.Mutex
 	cm       *core.CostModel
@@ -299,7 +298,7 @@ func (s *solveServer) registerSession(req solveRequest) solveResponse {
 	if err != nil {
 		return solveResponse{Err: err.Error()}
 	}
-	warm, ok := sched.(core.WarmScheduler)
+	rsched, ok := sched.(core.RepairScheduler)
 	if !ok {
 		return solveResponse{Err: fmt.Sprintf("scheduler %q does not support sessions (use CCSGA)", name)}
 	}
@@ -333,23 +332,19 @@ func (s *solveServer) registerSession(req solveRequest) solveResponse {
 	}
 	sess := &session{
 		schedName: name,
-		sched:     warm,
+		sched:     rsched,
 		cm:        cm,
 		ws:        core.NewWarmStart(),
 		devIndex:  devIndex,
 		chIndex:   chIndex,
 	}
-	var res *core.CCSGAResult
-	if rsched, ok := warm.(core.RepairScheduler); ok && !s.noRepair {
+	if !s.noRepair {
 		// Arm the repair path: the unprimed first solve runs exactly the
 		// warm path (byte-identical response) and primes the state, so
 		// every later delta solve can repair incrementally.
-		sess.repair = rsched
 		sess.rs = core.NewRepairState()
-		res, err = rsched.ScheduleRepair(cm, sess.ws, sess.rs)
-	} else {
-		res, err = warm.ScheduleWarm(cm, sess.ws)
 	}
+	res, err := rsched.ScheduleRepair(cm, sess.ws, sess.rs)
 	if err != nil {
 		return solveResponse{Err: err.Error()}
 	}
@@ -417,13 +412,7 @@ func (s *solveServer) applyAndSolve(sess *session, deltas []sessionDelta) solveR
 	if s.solveDelay > 0 {
 		time.Sleep(s.solveDelay) // test hook, mirrors the stateless path
 	}
-	var res *core.CCSGAResult
-	var err error
-	if sess.rs != nil {
-		res, err = sess.repair.ScheduleRepair(sess.cm, sess.ws, sess.rs)
-	} else {
-		res, err = sess.sched.ScheduleWarm(sess.cm, sess.ws)
-	}
+	res, err := sess.sched.ScheduleRepair(sess.cm, sess.ws, sess.rs)
 	if err != nil {
 		return solveResponse{Session: sess.id, Err: err.Error()}
 	}

@@ -36,12 +36,6 @@ type CCSGAOptions struct {
 	// Nash equilibrium — possibly a different one than the cold start
 	// reaches.
 	Init []int
-	// RepairMaxFrontier caps how much of the population an incremental
-	// repair (ScheduleRepair) may fully re-evaluate before falling back
-	// to a full warm solve, as a fraction of the device count. Zero uses
-	// the default 0.5. Ignored by CCSGA itself — it only shapes the
-	// repair path's escape hatch.
-	RepairMaxFrontier float64
 }
 
 // CCSGAResult carries the schedule plus game diagnostics.
@@ -74,7 +68,8 @@ type CCSGAResult struct {
 // the devices in a session form one coalition and split its cost with the
 // sharing scheme; switch dynamics run until a pure Nash equilibrium. The
 // initial assignment is the noncooperative one (every device at its
-// standalone charger), packed greedily when capacities bind.
+// standalone charger), packed greedily when capacities or travel budgets
+// bind — exactly WarmStart.Seed over an empty carrier.
 func CCSGA(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, error) {
 	res, game, _, err := ccsgaSolve(cm, opts, nil)
 	game.release()
@@ -100,17 +95,14 @@ func ccsgaSolve(cm *CostModel, opts CCSGAOptions, view func(*chargerGame) coalit
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var init []int
-	if opts.Init != nil {
-		if err := game.validateInit(opts.Init); err != nil {
-			return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
-		}
-		init = opts.Init
+	init := opts.Init
+	if init != nil {
+		err = game.validateInit(init)
 	} else {
-		init, err = game.initialAssignment()
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
-		}
+		init, err = seedSlots(cm, game.chargerOf, game.firstSlot, nil)
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
 	}
 	game.reset(init)
 
@@ -405,61 +397,6 @@ func (g *chargerGame) deviceUpdated(i int) {
 	if m, w := g.memo, len(g.chargerOf); m != nil {
 		clear(m.stamp[i*w : (i+1)*w])
 	}
-}
-
-// initialAssignment returns the starting device→slot assignment: the
-// noncooperative one, except that under session capacities or travel
-// budgets devices are packed greedily (largest demand first, cheapest
-// slot with room — capacity room and, for budgeted mobile chargers,
-// tour-budget room).
-func (g *chargerGame) initialAssignment() ([]int, error) {
-	cm := g.cm
-	in := cm.Instance()
-	init := make([]int, cm.NumDevices())
-	if !cm.HasCapacity() && !cm.HasTravelBudget() {
-		for i := range init {
-			_, j := cm.StandaloneCost(i)
-			init[i] = g.firstSlot[j]
-		}
-		return init, nil
-	}
-	order := make([]int, cm.NumDevices())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return in.Devices[order[a]].Demand > in.Devices[order[b]].Demand
-	})
-	remaining := make([]float64, len(g.chargerOf))
-	for s, j := range g.chargerOf {
-		remaining[s] = in.Chargers[j].Capacity // 0 = unlimited
-	}
-	fitter := newBudgetFitter(cm, g.chargerOf)
-	for _, i := range order {
-		bestS, bestCost := -1, 0.0
-		for s, j := range g.chargerOf {
-			ch := in.Chargers[j]
-			need := in.Devices[i].Demand / ch.Efficiency
-			if ch.Capacity > 0 && need > remaining[s]*(1+1e-12) {
-				continue
-			}
-			if !fitter.fits(i, s) {
-				continue
-			}
-			if c := cm.SessionCost([]int{i}, j); bestS < 0 || c < bestCost {
-				bestS, bestCost = s, c
-			}
-		}
-		if bestS < 0 {
-			return nil, fmt.Errorf("device %s fits no session slot: capacities or travel budgets too tight", in.Devices[i].ID)
-		}
-		init[i] = bestS
-		fitter.take(i, bestS)
-		if cap := in.Chargers[g.chargerOf[bestS]].Capacity; cap > 0 {
-			remaining[bestS] -= in.Devices[i].Demand / in.Chargers[g.chargerOf[bestS]].Efficiency
-		}
-	}
-	return init, nil
 }
 
 // validateInit checks a caller-supplied device→slot seed: one in-range

@@ -29,7 +29,7 @@ func TestWarmStartSurvivesRemoveReAdd(t *testing.T) {
 			cm := mustCostModel(t, in)
 			ws := NewWarmStart()
 			sched := CCSGAScheduler{}
-			res, err := sched.ScheduleWarm(cm, ws)
+			res, err := sched.ScheduleRepair(cm, ws, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestWarmStartSurvivesRemoveReAdd(t *testing.T) {
 				}
 			}
 
-			again, err := sched.ScheduleWarm(cm, ws)
+			again, err := sched.ScheduleRepair(cm, ws, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

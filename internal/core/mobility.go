@@ -154,8 +154,8 @@ func (cm *CostModel) ValidateTravel(s *Schedule) error {
 }
 
 // budgetFitter tracks per-slot membership during greedy packing so the
-// capacity-style packers (cold start and warm seed) can also respect
-// mobile chargers' travel budgets. A nil fitter accepts everything, which
+// seeding packer (seedSlots, which every cold and warm start runs) can
+// respect mobile chargers' travel budgets. A nil fitter accepts everything, which
 // is the correct answer whenever the instance has no travel budgets.
 type budgetFitter struct {
 	cm        *CostModel

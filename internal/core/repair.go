@@ -7,7 +7,7 @@ import (
 )
 
 // RepairState persists a converged CCSGA equilibrium — the charger game
-// with its per-slot aggregates plus the device→slot assignment and each
+// with its per-slot aggregates and device→slot assignment, plus each
 // device's current cost share — across the delta ops of a streaming
 // workload, so the next solve can re-run switch dynamics on the affected
 // frontier only instead of sweeping every device against every slot.
@@ -25,11 +25,11 @@ import (
 // target slots and the rounds drain in device-index order until a
 // zero-move round, which is itself the Nash verification sweep.
 //
-// When incremental repair cannot run — the frontier exceeds
-// CCSGAOptions.RepairMaxFrontier of the population, the session-slot
-// layout changed under capacities, a dirty slot is over capacity, an ESS
-// tariff swap moved every standalone cost, or the dynamics hit the round
-// cap — the solve falls back to a full warm solve and re-primes
+// When incremental repair cannot run — the frontier exceeds half the
+// population (maxFrontierFrac), the session-slot layout changed under
+// capacities, a dirty slot is over capacity, an ESS tariff swap moved
+// every standalone cost, or the dynamics hit the round cap — the solve
+// falls back to a full warm solve and re-primes
 // (CCSGAResult.FallbackReason names the reason).
 //
 // A RepairState is not safe for concurrent use, and at most one may be
@@ -39,11 +39,10 @@ type RepairState struct {
 	cm   *CostModel
 	game *chargerGame
 
-	assign []int     // device -> slot; -1 = added but not yet seated
-	share  []float64 // device -> share at its slot, exact at convergence
+	share []float64 // device -> share at its slot (game.cur), exact at convergence
 
 	dirty    map[int]struct{} // slots whose aggregates changed since convergence
-	unseeded int              // count of assign[i] == -1 entries
+	unseeded int              // count of game.cur[i] == -1 entries (added, not yet seated)
 
 	// updated collects the devices whose seat changed during the current
 	// repair (seated newcomers plus accepted switches), so solve can patch
@@ -67,11 +66,19 @@ type RepairState struct {
 	// enumReverse flips candidate-slot enumeration order; a test hook
 	// proving the argmin tie-break makes results enumeration-order-free.
 	enumReverse bool
+	// frontierFrac overrides maxFrontierFrac when nonzero; a test hook
+	// that lifts or floors the frontier cap.
+	frontierFrac float64
 }
+
+// maxFrontierFrac caps how much of the population an incremental repair
+// may fully re-evaluate before falling back to a full warm solve.
+const maxFrontierFrac = 0.5
 
 // NewRepairState returns an empty, unprimed state. The first
 // ScheduleRepair through it runs a full warm solve (byte-identical to
-// ScheduleWarm) and primes the state; later solves repair incrementally.
+// ScheduleRepair with a nil state) and primes the state; later solves
+// repair incrementally.
 func NewRepairState() *RepairState {
 	return &RepairState{dirty: make(map[int]struct{})}
 }
@@ -91,7 +98,6 @@ func (rs *RepairState) deviceAdded() {
 	if !rs.primed {
 		return
 	}
-	rs.assign = append(rs.assign, -1)
 	rs.share = append(rs.share, 0)
 	rs.game.deviceAdded()
 	rs.unseeded++
@@ -104,12 +110,11 @@ func (rs *RepairState) deviceRemoved(i int) {
 	if !rs.primed {
 		return
 	}
-	if s := rs.assign[i]; s >= 0 {
+	if s := rs.game.cur[i]; s >= 0 {
 		rs.markDirty(s) // the slot's aggregates are rebuilt at solve time
 	} else {
 		rs.unseeded--
 	}
-	rs.assign = append(rs.assign[:i], rs.assign[i+1:]...)
 	rs.share = append(rs.share[:i], rs.share[i+1:]...)
 	rs.game.deviceRemoved(i)
 	if rs.cm.HasCapacity() {
@@ -122,7 +127,7 @@ func (rs *RepairState) deviceUpdated(i int) {
 		return
 	}
 	rs.game.deviceUpdated(i)
-	if s := rs.assign[i]; s >= 0 {
+	if s := rs.game.cur[i]; s >= 0 {
 		// The device's own contributions changed, so its slot is dirty —
 		// which also makes the device itself a frontier member with a
 		// full best-response (its share against every slot moved, not
@@ -205,8 +210,9 @@ func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*
 				// Patch only the seats the repair changed; the carrier map
 				// ends up identical to a full Record of res.Schedule.
 				in := cm.Instance()
+				g := rs.game
 				for _, i := range rs.updated {
-					ws.set(in.Devices[i].ID, rs.game.chargerOf[rs.assign[i]])
+					ws.set(in.Devices[i].ID, g.chargerOf[g.cur[i]])
 				}
 			}
 			return res, nil
@@ -221,26 +227,14 @@ func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*
 	return rs.full(opts, ws, reason)
 }
 
-// full runs the warm path (exactly ScheduleWarm's: Seed, solve, Record)
-// and primes the state from the converged game. reason is non-empty when
-// this is a fallback from an attempted repair.
+// full runs the warm path (warmSolve, exactly ScheduleRepair's with a
+// nil state) and primes the state from the converged game. reason is
+// non-empty when this is a fallback from an attempted repair.
 func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*CCSGAResult, error) {
 	rs.invalidate() // release the old game's memo for the new one to reuse
-	if ws != nil {
-		init, err := ws.Seed(rs.cm)
-		if err != nil {
-			rs.invalidate()
-			return nil, err
-		}
-		opts.Init = init
-	}
-	res, game, assign, err := ccsgaSolve(rs.cm, opts, nil)
+	res, game, assign, err := warmSolve(rs.cm, opts, ws)
 	if err != nil {
-		rs.invalidate()
 		return nil, err
-	}
-	if ws != nil {
-		ws.Record(rs.cm.Instance(), res.Schedule)
 	}
 	rs.prime(game, assign)
 	res.FallbackReason = reason
@@ -256,15 +250,12 @@ func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*C
 func (rs *RepairState) prime(g *chargerGame, assign []int) {
 	rs.game = g
 	g.reset(assign)
-	rs.assign = append(rs.assign[:0], assign...)
 	if cap(rs.share) < len(assign) {
 		rs.share = make([]float64, len(assign))
 	}
 	rs.share = rs.share[:len(assign)]
 	rs.baselineFilled = false // per-device bars fill at the first repair
-	for s := range rs.dirty {
-		delete(rs.dirty, s)
-	}
+	clear(rs.dirty)
 	rs.unseeded = 0
 	rs.primed = true
 	rs.fullReason = ""
@@ -275,11 +266,8 @@ func (rs *RepairState) prime(g *chargerGame, assign []int) {
 func (rs *RepairState) invalidate() {
 	rs.game.release()
 	rs.game = nil
-	rs.assign = rs.assign[:0]
 	rs.share = rs.share[:0]
-	for s := range rs.dirty {
-		delete(rs.dirty, s)
-	}
+	clear(rs.dirty)
 	rs.unseeded = 0
 	rs.primed = false
 	rs.fullReason = ""
@@ -304,53 +292,26 @@ func (rs *RepairState) layoutUnchanged() bool {
 }
 
 // seatNew places devices added since the last convergence at their
-// standalone charger (first slot with room under capacities, cheapest
-// feasible slot anywhere when the target charger is full — the
-// WarmStart.Seed rule), dirtying the slots they land in.
+// standalone charger by the seeding rule (pickSlot), with room judged
+// against the game's current aggregates, dirtying the slots they land in.
 func (rs *RepairState) seatNew() error {
 	g, cm := rs.game, rs.cm
 	in := g.in
-	for i := range rs.assign {
-		if rs.assign[i] != -1 {
+	for i, s := range g.cur {
+		if s != -1 {
 			continue
 		}
 		sigma, target := cm.StandaloneCost(i)
 		g.sigma[i] = sigma
-		seat := -1
-		if !cm.HasCapacity() {
-			seat = g.firstSlot[target]
-		} else {
-			need := func(s int) float64 {
-				return in.Devices[i].Demand / in.Chargers[g.chargerOf[s]].Efficiency
-			}
-			room := func(s int) bool {
-				cap := in.Chargers[g.chargerOf[s]].Capacity
-				return cap == 0 || g.purchased[s]+need(s) <= cap*(1+1e-12)
-			}
-			for s := g.firstSlot[target]; s < len(g.chargerOf) && g.chargerOf[s] == target; s++ {
-				if room(s) {
-					seat = s
-					break
-				}
-			}
-			if seat < 0 {
-				bestCost := 0.0
-				for s, j := range g.chargerOf {
-					if !room(s) {
-						continue
-					}
-					if c := cm.SessionCost([]int{i}, j); seat < 0 || c < bestCost {
-						seat, bestCost = s, c
-					}
-				}
-			}
-			if seat < 0 {
-				return &fallbackError{fmt.Sprintf("device %s fits no session slot", in.Devices[i].ID)}
-			}
+		seat := pickSlot(cm, g.chargerOf, g.firstSlot, i, target, func(s int) bool {
+			ch := &in.Chargers[g.chargerOf[s]]
+			return ch.Capacity == 0 || g.purchased[s]+in.Devices[i].Demand/ch.Efficiency <= ch.Capacity*(1+1e-12)
+		})
+		if seat < 0 {
+			return &fallbackError{fmt.Sprintf("device %s fits no session slot", in.Devices[i].ID)}
 		}
 		g.join(i, seat)
 		g.cur[i] = seat
-		rs.assign[i] = seat
 		rs.share[i] = 0 // dirty-slot member; refreshed in the first round
 		rs.markDirty(seat)
 		rs.markUpdated(i)
@@ -374,7 +335,7 @@ func (rs *RepairState) rebuildDirty(isDirty []bool) {
 		g.moveSum[s] = 0
 		g.sigmaSum[s] = 0
 	}
-	for i, s := range rs.assign {
+	for i, s := range g.cur {
 		if !isDirty[s] {
 			continue
 		}
@@ -410,9 +371,9 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 	if maxRounds == 0 {
 		maxRounds = 10*n + 100
 	}
-	frac := opts.RepairMaxFrontier
+	frac := rs.frontierFrac
 	if frac == 0 {
-		frac = 0.5
+		frac = maxFrontierFrac
 	}
 	maxFrontier := int(frac * float64(n))
 	if maxFrontier < 1 {
@@ -424,9 +385,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		rs.updatedMark = make([]bool, n)
 	} else {
 		rs.updatedMark = rs.updatedMark[:n]
-		for i := range rs.updatedMark {
-			rs.updatedMark[i] = false
-		}
+		clear(rs.updatedMark)
 	}
 	if rs.unseeded > 0 {
 		if err := rs.seatNew(); err != nil {
@@ -460,7 +419,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		// Clean slots are exactly as they were at convergence, so this
 		// fills the same bars prime would have; dirty-slot members refresh
 		// theirs as frontier devices in the first round.
-		for i, s := range rs.assign {
+		for i, s := range g.cur {
 			if !isDirty[s] {
 				rs.share[i] = g.Share(i, s)
 			}
@@ -478,7 +437,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		}
 		var next []int
 		for i := 0; i < n; i++ {
-			cur := rs.assign[i]
+			cur := g.cur[i]
 			full := isDirty[cur]
 			var curShare float64
 			if full {
@@ -550,7 +509,6 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 			}
 			if candS >= 0 && candShare < curShare-eps {
 				g.Move(i, cur, candS)
-				rs.assign[i] = candS
 				// The hypothetical-join share is computed from the same
 				// aggregate additions join just applied, so it is the
 				// post-move share bit-for-bit.
@@ -570,22 +528,12 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		sort.Ints(next)
 		dirtyList = next
 		isDirty, nextDirty = nextDirty, isDirty
-		for _, s := range dirtyList {
-			nextDirty[s] = false
-		}
-		// nextDirty must be all-false for the next round; the swap left it
-		// holding the PREVIOUS round's dirty flags.
-		for s := range nextDirty {
-			if nextDirty[s] {
-				nextDirty[s] = false
-			}
-		}
+		// The swap left nextDirty holding the previous round's flags.
+		clear(nextDirty)
 	}
-	for s := range rs.dirty {
-		delete(rs.dirty, s)
-	}
+	clear(rs.dirty)
 	return &CCSGAResult{
-		Schedule:        g.schedule(rs.assign),
+		Schedule:        g.schedule(g.cur),
 		Switches:        switches,
 		Passes:          rounds,
 		Converged:       true,

@@ -92,8 +92,8 @@ func randomRepairDelta(r *rand.Rand, cm *CostModel, step int) (string, error) {
 }
 
 // An unprimed RepairState routes through exactly the warm path, so the
-// very first ScheduleRepair must reproduce ScheduleWarm bit for bit —
-// this is the "full-warm path byte-identical where repair is not
+// very first ScheduleRepair must reproduce the stateless (nil rs) solve
+// bit for bit — the "full-warm path byte-identical where repair is not
 // engaged" pin (the committed schedule goldens pin the cold path).
 func TestRepairUnprimedMatchesWarmBytes(t *testing.T) {
 	for _, capacitated := range []bool{false, true} {
@@ -103,7 +103,7 @@ func TestRepairUnprimedMatchesWarmBytes(t *testing.T) {
 
 		warmCM := mustCostModel(t, cloneInstance(in))
 		warmWS := NewWarmStart()
-		want, err := sched.ScheduleWarm(warmCM, warmWS)
+		want, err := sched.ScheduleRepair(warmCM, warmWS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,8 @@ func TestPropertyRepairDeltaStream(t *testing.T) {
 				// so the default 0.5 frontier cap trips constantly; lift it
 				// to the whole population here (the escape hatch has its own
 				// test) so the stream mostly exercises the repair path.
-				sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}
+				rs.frontierFrac = 1
+				sched := CCSGAScheduler{}
 				if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
 					t.Fatalf("seed %d prime: %v", seed, err)
 				}
@@ -270,7 +271,8 @@ func TestRepairForcedFallback(t *testing.T) {
 	cm := mustCostModel(t, in)
 	ws := NewWarmStart()
 	rs := NewRepairState()
-	sched := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1e-9}}
+	rs.frontierFrac = 1e-9
+	sched := CCSGAScheduler{}
 	if _, err := sched.ScheduleRepair(cm, ws, rs); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,8 @@ func TestRepairForcedFallback(t *testing.T) {
 	if err := cm.UpdateDevice(0, d); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := CCSGAScheduler{Opts: CCSGAOptions{RepairMaxFrontier: 1}}.ScheduleRepair(cm, ws, rs)
+	rs.frontierFrac = 1
+	res2, err := sched.ScheduleRepair(cm, ws, rs)
 	if err != nil {
 		t.Fatal(err)
 	}

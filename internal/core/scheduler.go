@@ -42,26 +42,18 @@ func (s CCSAScheduler) Schedule(cm *CostModel) (*Schedule, error) {
 	return res.Schedule, nil
 }
 
-// WarmScheduler is a Scheduler that can carry an equilibrium across
-// related solves through a WarmStart, returning full solver diagnostics.
-type WarmScheduler interface {
-	Scheduler
-	// ScheduleWarm solves like Schedule, seeding the dynamics from ws
-	// when it is non-nil (and recording the new equilibrium back into
-	// it). A nil ws is exactly the cold path plus diagnostics.
-	ScheduleWarm(cm *CostModel, ws *WarmStart) (*CCSGAResult, error)
-}
-
-// RepairScheduler is a WarmScheduler that can additionally repair a
-// previously converged equilibrium incrementally after cost-model delta
-// ops, instead of re-running the full switch dynamics.
+// RepairScheduler is a Scheduler that carries an equilibrium across
+// related solves, returning full solver diagnostics. It is the one
+// stateful entry point of the CCSGA solve engine.
 type RepairScheduler interface {
-	WarmScheduler
-	// ScheduleRepair solves like ScheduleWarm but routes through rs: the
-	// first solve (or any solve repair cannot handle — see RepairState)
-	// runs the full warm path and primes rs; subsequent solves repair the
-	// primed equilibrium over the dirty-slot frontier. A nil rs is
-	// exactly ScheduleWarm.
+	Scheduler
+	// ScheduleRepair solves like Schedule, starting the switch dynamics
+	// from ws's seed when ws is non-nil (and recording the new
+	// equilibrium back into it); a nil ws is exactly the cold path plus
+	// diagnostics. A non-nil rs additionally persists the equilibrium:
+	// the first solve through it (or any solve repair cannot handle —
+	// see RepairState) runs the same warm path and primes rs, and later
+	// solves repair the primed equilibrium over the dirty-slot frontier.
 	ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairState) (*CCSGAResult, error)
 }
 
@@ -72,7 +64,6 @@ type CCSGAScheduler struct {
 
 var (
 	_ Scheduler       = CCSGAScheduler{}
-	_ WarmScheduler   = CCSGAScheduler{}
 	_ RepairScheduler = CCSGAScheduler{}
 )
 
@@ -88,33 +79,37 @@ func (s CCSGAScheduler) Schedule(cm *CostModel) (*Schedule, error) {
 	return res.Schedule, nil
 }
 
-// ScheduleWarm implements WarmScheduler. Any Opts.Init is overridden by
-// the carrier's seed when ws is non-nil.
-func (s CCSGAScheduler) ScheduleWarm(cm *CostModel, ws *WarmStart) (*CCSGAResult, error) {
-	opts := s.Opts
+// ScheduleRepair implements RepairScheduler. Any Opts.Init is
+// overridden by the carrier's seed when ws is non-nil.
+func (s CCSGAScheduler) ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairState) (*CCSGAResult, error) {
+	if rs != nil {
+		return rs.solve(cm, s.Opts, ws)
+	}
+	res, game, _, err := warmSolve(cm, s.Opts, ws)
+	game.release()
+	return res, err
+}
+
+// warmSolve is the one warm path behind ScheduleRepair: seed the
+// dynamics from ws when it is non-nil, solve, and record the new
+// equilibrium back into ws. It returns the converged game and assignment
+// so a RepairState can adopt them.
+func warmSolve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*CCSGAResult, *chargerGame, []int, error) {
 	if ws != nil {
 		init, err := ws.Seed(cm)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		opts.Init = init
 	}
-	res, err := CCSGA(cm, opts)
+	res, game, assign, err := ccsgaSolve(cm, opts, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	if ws != nil {
 		ws.Record(cm.Instance(), res.Schedule)
 	}
-	return res, nil
-}
-
-// ScheduleRepair implements RepairScheduler.
-func (s CCSGAScheduler) ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairState) (*CCSGAResult, error) {
-	if rs == nil {
-		return s.ScheduleWarm(cm, ws)
-	}
-	return rs.solve(cm, s.Opts, ws)
+	return res, game, assign, nil
 }
 
 // OptimalScheduler wraps Optimal; it fails on instances larger than

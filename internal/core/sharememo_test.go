@@ -276,7 +276,7 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		init, err := g.initialAssignment()
+		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestShareMemoExactAcrossLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		init, err := g.initialAssignment()
+		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // WarmStart carries CCSGA equilibria across related solves. The caller
 // records each solve's outcome; Seed then builds a CCSGAOptions.Init for
@@ -56,18 +59,28 @@ func (w *WarmStart) Record(in *Instance, s *Schedule) {
 // Seed builds a validated CCSGAOptions.Init for cm: remembered devices are
 // seeded at their previous charger, everyone else at its standalone
 // charger. Under session capacities (or mobile-charger travel budgets)
-// devices are packed largest-demand first (the cold-start rule) into the
-// target charger's slots, falling back to the cheapest feasible slot
-// anywhere when the target is full, so Seed succeeds on every instance
-// the cold start can handle. It returns an error only when some device
-// fits no slot at all — the same "capacities too tight" condition that
-// fails the cold start.
+// devices are packed largest-demand first into the target charger's
+// slots, falling back to the cheapest feasible slot anywhere when the
+// target is full (pickSlot). It returns an error only when some device
+// fits no slot at all — the "capacities too tight" condition. An empty
+// carrier yields exactly the cold start every CCSGA solve begins from.
 func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 	chargerOf, firstSlot := SessionSlots(cm)
+	init, err := seedSlots(cm, chargerOf, firstSlot, w.charger)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return init, nil
+}
+
+// seedSlots is Seed over a given session-slot layout, with carrier
+// mapping device IDs to their remembered chargers. A nil carrier is the
+// cold start: every device targets its standalone charger.
+func seedSlots(cm *CostModel, chargerOf, firstSlot []int, carrier map[string]int) ([]int, error) {
 	in := cm.Instance()
 	init := make([]int, cm.NumDevices())
 	target := func(i int) int {
-		if j, ok := w.charger[in.Devices[i].ID]; ok && j >= 0 && j < len(firstSlot) {
+		if j, ok := carrier[in.Devices[i].ID]; ok && j >= 0 && j < len(firstSlot) {
 			return j
 		}
 		_, j := cm.StandaloneCost(i)
@@ -91,55 +104,44 @@ func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 		remaining[s] = in.Chargers[j].Capacity // 0 = unlimited
 	}
 	fitter := newBudgetFitter(cm, chargerOf)
-	fits := func(i, s int) bool {
-		ch := in.Chargers[chargerOf[s]]
-		if ch.Capacity > 0 && in.Devices[i].Demand/ch.Efficiency > remaining[s]*(1+1e-12) {
-			return false
+	for _, i := range order {
+		s := pickSlot(cm, chargerOf, firstSlot, i, target(i), func(s int) bool {
+			ch := &in.Chargers[chargerOf[s]]
+			if ch.Capacity > 0 && in.Devices[i].Demand/ch.Efficiency > remaining[s]*(1+1e-12) {
+				return false
+			}
+			return fitter.fits(i, s)
+		})
+		if s < 0 {
+			return nil, fmt.Errorf("device %s fits no session slot: capacities or travel budgets too tight", in.Devices[i].ID)
 		}
-		return fitter.fits(i, s)
-	}
-	take := func(i, s int) {
 		init[i] = s
 		fitter.take(i, s)
-		if in.Chargers[chargerOf[s]].Capacity > 0 {
-			remaining[s] -= in.Devices[i].Demand / in.Chargers[chargerOf[s]].Efficiency
+		if ch := &in.Chargers[chargerOf[s]]; ch.Capacity > 0 {
+			remaining[s] -= in.Devices[i].Demand / ch.Efficiency
 		}
-	}
-	for _, i := range order {
-		placed := false
-		j := target(i)
-		for s := firstSlot[j]; s < len(chargerOf) && chargerOf[s] == j; s++ {
-			if fits(i, s) {
-				take(i, s)
-				placed = true
-				break
-			}
-		}
-		if placed {
-			continue
-		}
-		// Target charger full: cheapest feasible slot anywhere, the
-		// cold-start packing rule.
-		bestS, bestCost := -1, 0.0
-		for s, jj := range chargerOf {
-			if !fits(i, s) {
-				continue
-			}
-			if c := cm.SessionCost([]int{i}, jj); bestS < 0 || c < bestCost {
-				bestS, bestCost = s, c
-			}
-		}
-		if bestS < 0 {
-			return nil, &seedError{id: in.Devices[i].ID}
-		}
-		take(i, bestS)
 	}
 	return init, nil
 }
 
-// seedError reports a device that fits no session slot.
-type seedError struct{ id string }
-
-func (e *seedError) Error() string {
-	return "core: device " + e.id + " fits no session slot: capacities or travel budgets too tight"
+// pickSlot is the one seating rule of every CCSGA start — cold, warm
+// and repair's newcomers: the first slot of charger target that fits
+// device i, otherwise the cheapest slot anywhere that fits (the lowest
+// slot index among equal costs). It returns -1 when no slot fits.
+func pickSlot(cm *CostModel, chargerOf, firstSlot []int, i, target int, fits func(s int) bool) int {
+	for s := firstSlot[target]; s < len(chargerOf) && chargerOf[s] == target; s++ {
+		if fits(s) {
+			return s
+		}
+	}
+	best, bestCost := -1, 0.0
+	for s, j := range chargerOf {
+		if !fits(s) {
+			continue
+		}
+		if c := cm.SessionCost([]int{i}, j); best < 0 || c < bestCost {
+			best, bestCost = s, c
+		}
+	}
+	return best
 }

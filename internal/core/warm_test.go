@@ -90,7 +90,7 @@ func TestPropertyWarmStartNashStableAndCostBounded(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d step %d cold: %v", seed, step, err)
 					}
-					warm, err := warmSched.ScheduleWarm(cm, ws)
+					warm, err := warmSched.ScheduleRepair(cm, ws, nil)
 					if err != nil {
 						t.Fatalf("seed %d step %d warm: %v", seed, step, err)
 					}
@@ -132,10 +132,10 @@ func TestWarmStartResolveConvergesInOnePass(t *testing.T) {
 	cm := mustCostModel(t, in)
 	ws := NewWarmStart()
 	sched := CCSGAScheduler{}
-	if _, err := sched.ScheduleWarm(cm, ws); err != nil {
+	if _, err := sched.ScheduleRepair(cm, ws, nil); err != nil {
 		t.Fatal(err)
 	}
-	again, err := sched.ScheduleWarm(cm, ws)
+	again, err := sched.ScheduleRepair(cm, ws, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestWarmStartSeedValidUnderCapacities(t *testing.T) {
 		cm := mustCostModel(t, in)
 		ws := NewWarmStart()
 		sched := CCSGAScheduler{}
-		if _, err := sched.ScheduleWarm(cm, ws); err != nil {
+		if _, err := sched.ScheduleRepair(cm, ws, nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		// Shrink capacities so the remembered chargers overflow and Seed

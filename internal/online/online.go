@@ -98,7 +98,7 @@ type Config struct {
 	// accounting semantics are unchanged; only the solver's starting
 	// point differs, so the dynamics may land on a different (still
 	// pure-Nash) equilibrium. Requires a Scheduler implementing
-	// core.WarmScheduler, e.g. core.CCSGAScheduler. The round instances
+	// core.RepairScheduler, e.g. core.CCSGAScheduler. The round instances
 	// are additionally maintained incrementally (CostModel.AddDevice /
 	// RemoveDevice) instead of being rebuilt from scratch.
 	WarmStart bool
@@ -111,7 +111,7 @@ type Config struct {
 	// sharding replaces rather than composes with WarmStart (setting
 	// both is an error: the global incrementally-patched CostModel that
 	// WarmStart maintains is exactly the O(devices × chargers) table
-	// sharding exists to avoid). Requires a core.WarmScheduler and a
+	// sharding exists to avoid). Requires a core.RepairScheduler and a
 	// non-degenerate Field. The zero value leaves every code path —
 	// and every output byte — exactly as without this field.
 	Shard shard.Config
@@ -168,7 +168,7 @@ func (cfg Config) instruments() obsInstruments {
 }
 
 // RoundStat is one scheduling round's solver diagnostics, reported when
-// the scheduler exposes them (core.WarmScheduler implementations).
+// the scheduler exposes them (core.RepairScheduler implementations).
 type RoundStat struct {
 	// At is the round's service time, seconds.
 	At float64
@@ -232,14 +232,14 @@ func Run(cfg Config) (*Metrics, error) {
 	case cfg.Scheduler == nil:
 		return nil, errors.New("online: nil scheduler")
 	}
-	warmSched, warmOK := cfg.Scheduler.(core.WarmScheduler)
+	warmSched, warmOK := cfg.Scheduler.(core.RepairScheduler)
 	if cfg.WarmStart && !warmOK {
-		return nil, fmt.Errorf("online: WarmStart requires a core.WarmScheduler, got %s", cfg.Scheduler.Name())
+		return nil, fmt.Errorf("online: WarmStart requires a core.RepairScheduler, got %s", cfg.Scheduler.Name())
 	}
 	var planner *shard.Planner
 	if cfg.Shard.CellSize > 0 {
 		if !warmOK {
-			return nil, fmt.Errorf("online: Shard requires a core.WarmScheduler, got %s", cfg.Scheduler.Name())
+			return nil, fmt.Errorf("online: Shard requires a core.RepairScheduler, got %s", cfg.Scheduler.Name())
 		}
 		if cfg.WarmStart {
 			return nil, errors.New("online: Shard and WarmStart are mutually exclusive (sharding carries warm state per shard)")
@@ -394,14 +394,15 @@ func Run(cfg Config) (*Metrics, error) {
 		}
 		var sched *core.Schedule
 		if warmOK {
-			// Warm-capable schedulers run through ScheduleWarm so the
-			// round reports solver diagnostics; with WarmStart off the
-			// nil carrier makes this exactly the cold Schedule path.
+			// Warm-capable schedulers run through ScheduleRepair (no
+			// repair state) so the round reports solver diagnostics; with
+			// WarmStart off the nil carrier makes this exactly the cold
+			// Schedule path.
 			var carrier *core.WarmStart
 			if cfg.WarmStart {
 				carrier = ws
 			}
-			res, err := warmSched.ScheduleWarm(cm, carrier)
+			res, err := warmSched.ScheduleRepair(cm, carrier, nil)
 			if err != nil {
 				return fmt.Errorf("online: round at %v: %w", now, err)
 			}

@@ -90,8 +90,8 @@ func TestShardConfigValidation(t *testing.T) {
 
 	cold := base
 	cold.Scheduler = core.CCSAScheduler{}
-	if _, err := Run(cold); err == nil || !strings.Contains(err.Error(), "WarmScheduler") {
-		t.Errorf("cold scheduler with Shard: got %v, want WarmScheduler error", err)
+	if _, err := Run(cold); err == nil || !strings.Contains(err.Error(), "RepairScheduler") {
+		t.Errorf("cold scheduler with Shard: got %v, want RepairScheduler error", err)
 	}
 
 	both := base

@@ -51,7 +51,8 @@ func recurringConfig(t *testing.T, seed int64, warm bool) Config {
 // forced-deadline running minimum, the flush fix and the warm-start
 // restructure landed: the online path must produce byte-identical results
 // when warm starts are disabled, for both plain Schedulers (CCSA) and
-// WarmSchedulers routed through ScheduleWarm with a nil carrier (CCSGA).
+// RepairSchedulers routed through ScheduleRepair with a nil carrier and
+// no repair state (CCSGA).
 func TestPinnedMetricsUnchanged(t *testing.T) {
 	type pin struct {
 		cost     float64
@@ -193,14 +194,14 @@ func TestFlushBranchServesUnboundedDeadlines(t *testing.T) {
 	}
 }
 
-// TestWarmStartRequiresWarmScheduler checks the configuration error for
+// TestWarmStartRequiresRepairScheduler checks the configuration error for
 // schedulers that cannot carry an equilibrium.
-func TestWarmStartRequiresWarmScheduler(t *testing.T) {
+func TestWarmStartRequiresRepairScheduler(t *testing.T) {
 	cfg := testConfig(t, Periodic{Interval: 300})
 	cfg.WarmStart = true // Scheduler is CCSAScheduler
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "WarmScheduler") {
-		t.Fatalf("err = %v, want a WarmScheduler requirement error", err)
+	if err == nil || !strings.Contains(err.Error(), "RepairScheduler") {
+		t.Fatalf("err = %v, want a RepairScheduler requirement error", err)
 	}
 }
 

@@ -91,11 +91,7 @@ type Planner struct {
 	cfg      Config
 	field    geom.Rect
 	chargers []core.Charger
-	sched    core.WarmScheduler
-	// repair is sched when it can repair equilibria incrementally
-	// (core.CCSGAScheduler can); nil schedulers without the capability
-	// keep the full warm re-solve on the reconciliation path.
-	repair core.RepairScheduler
+	sched    core.RepairScheduler
 
 	cell       float64
 	cols, rows int
@@ -111,7 +107,7 @@ type Planner struct {
 // allocates a warm-start carrier per shard. A degenerate field (zero
 // width or height) collapses to a single shard, which makes the sharded
 // solve equivalent to the whole-field one.
-func NewPlanner(field geom.Rect, chargers []core.Charger, sched core.WarmScheduler, cfg Config) (*Planner, error) {
+func NewPlanner(field geom.Rect, chargers []core.Charger, sched core.RepairScheduler, cfg Config) (*Planner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -129,9 +125,6 @@ func NewPlanner(field geom.Rect, chargers []core.Charger, sched core.WarmSchedul
 		cell:     cfg.CellSize,
 		cols:     gridDim(field.Width(), cfg.CellSize),
 		rows:     gridDim(field.Height(), cfg.CellSize),
-	}
-	if rsched, ok := sched.(core.RepairScheduler); ok {
-		p.repair = rsched
 	}
 	p.shardOfCell = make(map[int]int)
 	p.chargerCell = make([]int, len(chargers))
@@ -425,9 +418,8 @@ type shardRun struct {
 	res     *core.CCSGAResult
 	coalOf  []int // local device -> coalition index, built lazily
 	// rs holds the shard's converged equilibrium for incremental repair
-	// on the reconciliation re-solve; nil when the planner's scheduler
-	// cannot repair. Rounds rebuild cost models, so the state lives one
-	// round only.
+	// on the reconciliation re-solve. Rounds rebuild cost models, so the
+	// state lives one round only.
 	rs *core.RepairState
 }
 
@@ -455,17 +447,11 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 		}
-		var res *core.CCSGAResult
-		var rs *core.RepairState
-		if p.repair != nil {
-			// An unprimed repair state runs exactly the warm path and
-			// primes itself with the converged equilibrium, arming the
-			// reconciliation re-solve below for incremental repair.
-			rs = core.NewRepairState()
-			res, err = p.repair.ScheduleRepair(cm, p.warm[k], rs)
-		} else {
-			res, err = p.sched.ScheduleWarm(cm, p.warm[k])
-		}
+		// An unprimed repair state runs exactly the warm path and primes
+		// itself with the converged equilibrium, arming the reconciliation
+		// re-solve below for incremental repair.
+		rs := core.NewRepairState()
+		res, err := p.sched.ScheduleRepair(cm, p.warm[k], rs)
 		if err != nil {
 			return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 		}
@@ -564,38 +550,26 @@ func (p *Planner) Solve(devices []core.Device) (*Result, error) {
 				runs[k] = shardRun{}
 				return nil
 			}
-			if runs[k].rs != nil {
-				// Incremental path: patch the shard's existing cost model —
-				// the delta ops tell the repair state which slots went dirty
-				// — and repair the primed equilibrium instead of rebuilding
-				// the model and re-running the full dynamics. Removals go
-				// descending so local indices stay valid.
-				cm := runs[k].cm
-				local := make([]int, len(gone))
-				for gi, i := range gone {
-					local[gi] = sort.SearchInts(runs[k].devices, i)
-				}
-				for gi := len(local) - 1; gi >= 0; gi-- {
-					if err := cm.RemoveDevice(local[gi]); err != nil {
-						return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
-					}
-				}
-				res, err := p.repair.ScheduleRepair(cm, p.warm[k], runs[k].rs)
-				if err != nil {
+			// Patch the shard's existing cost model — the delta ops tell
+			// the repair state which slots went dirty — and repair the
+			// primed equilibrium instead of rebuilding the model and
+			// re-running the full dynamics. Removals go descending so
+			// local indices stay valid.
+			cm := runs[k].cm
+			local := make([]int, len(gone))
+			for gi, i := range gone {
+				local[gi] = sort.SearchInts(runs[k].devices, i)
+			}
+			for gi := len(local) - 1; gi >= 0; gi-- {
+				if err := cm.RemoveDevice(local[gi]); err != nil {
 					return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 				}
-				runs[k] = shardRun{devices: keep, cm: cm, res: res, rs: runs[k].rs}
-				return nil
 			}
-			cm, err := core.NewCostModel(p.subInstance(k, devices, keep))
+			res, err := p.sched.ScheduleRepair(cm, p.warm[k], runs[k].rs)
 			if err != nil {
 				return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
 			}
-			res, err := p.sched.ScheduleWarm(cm, p.warm[k])
-			if err != nil {
-				return fmt.Errorf("shard: cell %d: %w", p.shards[k].cell, err)
-			}
-			runs[k] = shardRun{devices: keep, cm: cm, res: res}
+			runs[k] = shardRun{devices: keep, cm: cm, res: res, rs: runs[k].rs}
 			return nil
 		}
 		if err := par.Map(context.Background(), p.cfg.Workers, len(affected), resolve); err != nil {
@@ -716,7 +690,7 @@ func (p *Planner) permuteShards(perm []int) {
 // solve it sharded, and return the combined result. Use a Planner
 // directly when rounds recur over the same charger deployment so the
 // per-shard warm carriers persist.
-func Solve(in *core.Instance, sched core.WarmScheduler, cfg Config) (*Result, error) {
+func Solve(in *core.Instance, sched core.RepairScheduler, cfg Config) (*Result, error) {
 	p, err := NewPlanner(in.Field, in.Chargers, sched, cfg)
 	if err != nil {
 		return nil, err
