@@ -86,6 +86,33 @@ type solveRequest struct {
 	Deltas []sessionDelta `json:"deltas,omitempty"`
 	// Close ends the session named by Session.
 	Close bool `json:"close,omitempty"`
+
+	// decoded is the instance of a solve line the one-pass scanner
+	// decoded (not yet validated); Instance is then empty.
+	decoded *core.Instance
+}
+
+// parseLine decodes one request line. A plain solve line is scanned in
+// one pass by gen.ScanSolveRequest; every other line, and any solve line
+// outside the scanner's grammar, goes through parseLineReference, which
+// yields the same request whenever the scanner would have accepted it.
+func parseLine(line []byte) (solveRequest, error) {
+	if in, name, ok := gen.ScanSolveRequest(line); ok {
+		return solveRequest{Scheduler: name, decoded: in}, nil
+	}
+	return parseLineReference(line)
+}
+
+// parseLineReference is the encoding/json request decoder.
+func parseLineReference(line []byte) (solveRequest, error) {
+	var req solveRequest
+	err := json.Unmarshal(line, &req)
+	return req, err
+}
+
+// hasInstance reports whether the request carries an instance.
+func (r solveRequest) hasInstance() bool {
+	return r.decoded != nil || len(r.Instance) > 0
 }
 
 // stateless reports whether the request is replayable from the raw byte
@@ -360,7 +387,7 @@ func (s *solveServer) register(reg *obs.Registry) {
 // failure comes back as a response with Err set.
 func (s *solveServer) handle(req solveRequest) solveResponse {
 	s.requests.Add(1)
-	timed := (s.metricsOn || s.slowSolve > 0) && !req.Stats && len(req.Instance) > 0
+	timed := (s.metricsOn || s.slowSolve > 0) && !req.Stats && req.hasInstance()
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -424,7 +451,7 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 		}
 		return s.deltaSolve(req)
 	}
-	if len(req.Instance) == 0 {
+	if !req.hasInstance() {
 		return solveResponse{Err: "request has neither an instance nor a stats query"}
 	}
 	name := req.Scheduler
@@ -435,9 +462,15 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 	if err != nil {
 		return solveResponse{Err: err.Error()}
 	}
-	in, err := gen.DecodeInstance(req.Instance)
-	if err != nil {
-		return solveResponse{Err: err.Error()}
+	// The instance is validated once, by NewCostModel (or explicitly on
+	// the sharded path) inside the solve: a solution-tier hit skips it,
+	// which is sound because the fingerprint covers every field Validate
+	// reads and the cache never stores a failed solve.
+	in := req.decoded
+	if in == nil {
+		if in, err = gen.ParseInstance(req.Instance); err != nil {
+			return solveResponse{Err: err.Error()}
+		}
 	}
 	solve := func() (*core.Schedule, float64, error) {
 		if s.solveDelay > 0 {
@@ -468,6 +501,10 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 			if s.solveDelay > 0 {
 				time.Sleep(s.solveDelay)
 			}
+			// shard.Solve validates only the cell sub-instances.
+			if err := in.Validate(); err != nil {
+				return nil, 0, err
+			}
 			res, err := shard.Solve(in, ws, cfg)
 			if err != nil {
 				return nil, 0, err
@@ -493,6 +530,11 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 		if plan, cost, err = solve(); err != nil {
 			return solveResponse{Err: err.Error()}
 		}
+	}
+	// A valid instance can still price beyond float64 (fees near
+	// MaxFloat64 sum to +Inf); such a cost has no JSON rendering.
+	if math.IsInf(cost, 0) || math.IsNaN(cost) {
+		return solveResponse{Err: fmt.Sprintf("total cost %v is not finite", cost)}
 	}
 	resp := solveResponse{Cost: cost, Sessions: len(plan.Coalitions), Cached: cached}
 	for _, c := range plan.Coalitions {
@@ -557,10 +599,6 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 	sbuf := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(sbuf)
 	sc.Buffer(*sbuf, maxRequestBytes)
-	// Encoder.Encode emits exactly json.Marshal's bytes plus '\n' — the
-	// line framing this protocol wants — while reusing one buffer for
-	// every response on the connection.
-	enc := json.NewEncoder(conn)
 	for {
 		// Draining: the in-flight request (if any) was completed below;
 		// take no new ones.
@@ -590,29 +628,13 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 				continue
 			}
 		}
-		var req solveRequest
-		var resp solveResponse
-		if err := json.Unmarshal(line, &req); err != nil {
-			s.requests.Add(1)
-			s.failures.Add(1)
-			resp = solveResponse{Err: "bad request: " + err.Error()}
-		} else {
-			resp = s.handle(req)
-		}
-		if err := enc.Encode(resp); err != nil {
+		req, err := parseLine(line)
+		out, replay := s.respond(req, err)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
-		// Successful stateless solves replay as cache hits; stats
-		// queries, errors, and session verbs (whose responses depend on
-		// server state, not just the request bytes) are never byte-cached
-		// — which also keeps the pre-decode Get above from ever replaying
-		// them.
-		if s.raw != nil && resp.Err == "" && resp.Stats == nil && req.stateless() {
-			replay := resp
-			replay.Cached = true
-			if rb, err := json.Marshal(replay); err == nil {
-				s.raw.Put(sum, append(rb, '\n'))
-			}
+		if replay != nil {
+			s.raw.Put(sum, replay)
 		}
 	}
 	// The scan loop ended: distinguish a clean hangup from the failure
@@ -639,6 +661,63 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 		s.met.readErrors.Inc()
 		s.log.Event("conn_read_error", "remote", remoteAddr(conn), "err", err)
 	}
+}
+
+// respond answers one parsed request line (parseErr is the line's decode
+// error) and renders the reply once. out is the reply line; replay is
+// the raw-tier entry for it, or nil. Only successful stateless solves
+// replay (as cache hits); stats queries, errors, and session verbs
+// (whose responses depend on server state, not just the request bytes)
+// are never byte-cached — which also keeps serveJSON's pre-decode Get
+// from ever replaying them. A reply that cannot be rendered becomes an
+// error line and counts as a failure, so the client never sees a silent
+// hangup.
+func (s *solveServer) respond(req solveRequest, parseErr error) (out, replay []byte) {
+	var resp solveResponse
+	if parseErr != nil {
+		s.requests.Add(1)
+		s.failures.Add(1)
+		resp = solveResponse{Err: "bad request: " + parseErr.Error()}
+	} else {
+		resp = s.handle(req)
+	}
+	out, err := renderLine(resp)
+	if err != nil {
+		s.failures.Add(1)
+		out, _ = renderLine(solveResponse{Err: "render response: " + err.Error()})
+		return out, nil
+	}
+	if s.raw != nil && resp.Err == "" && resp.Stats == nil && req.stateless() {
+		replay = replayLine(out, resp.Cached)
+	}
+	return out, replay
+}
+
+// renderLine renders resp as one reply line: json.Marshal's bytes plus
+// the '\n' framing.
+func renderLine(resp solveResponse) ([]byte, error) {
+	b, err := json.Marshal(resp)
+	return append(b, '\n'), err
+}
+
+// replayLine builds the raw-tier entry for a rendered stateless solve
+// reply: the bytes json.Marshal gives the same response with Cached set.
+// Cached is the last field a stateless solve reply can carry, so it is
+// spliced in before the closing brace instead of rendering the reply a
+// second time; a reply that is already cached is its own replay.
+func replayLine(out []byte, cached bool) []byte {
+	if cached {
+		return out
+	}
+	const field = `"cached":true`
+	body := out[:len(out)-2] // without "}\n"
+	rb := make([]byte, 0, len(out)+len(field)+1)
+	rb = append(rb, body...)
+	if len(body) > 1 {
+		rb = append(rb, ',')
+	}
+	rb = append(rb, field...)
+	return append(rb, '}', '\n')
 }
 
 // remoteAddr renders the peer address for event logs (the conn may

@@ -503,3 +503,92 @@ func TestServeHardeningFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestServeNonFiniteCostErrorLine is the regression test for a solve
+// whose total cost overflows float64: two capacitated chargers charging
+// $1e308 a session must each serve one 5 J device (6.25 J bought at
+// 80% efficiency; two would exceed the 12 J capacity), so the schedule's
+// cost is +Inf. Validate accepts the instance, and before the fix the
+// reply failed to render, the connection closed with no reply at all
+// and no failure was counted. Now the client gets an error line, the
+// failure is counted, and the connection keeps serving.
+func TestServeNonFiniteCostErrorLine(t *testing.T) {
+	srv, dial := startServerOpts(t, serveOpts{cacheSize: 8, maxSessions: 4})
+	conn := dial()
+	br := bufio.NewReader(conn)
+	charger := func(id string, x float64) string {
+		return fmt.Sprintf(`{"id":%q,"x":%v,"y":0,"feeUSD":1e308,"tariff":{"kind":"linear","rate":0.1},"efficiency":0.8,"capacityJ":12}`, id, x)
+	}
+	inst := fmt.Sprintf(`{"fieldSide":100,"devices":[{"id":"d0","x":0,"y":0,"demandJ":5,"moveRatePerM":0.01},{"id":"d1","x":100,"y":0,"demandJ":5,"moveRatePerM":0.01}],"chargers":[%s,%s]}`,
+		charger("c0", 0), charger("c1", 100))
+	failures := uint64(0)
+	for _, scheduler := range []string{"CCSGA", "CCSA", "NONCOOP"} {
+		line := []byte(fmt.Sprintf(`{"instance":%s,"scheduler":%q}`+"\n", inst, scheduler))
+		for i := 0; i < 2; i++ { // fresh solve, then the solution-tier hit
+			resp := roundTrip(t, conn, br, line)
+			if !strings.Contains(resp.Err, "not finite") {
+				t.Fatalf("%s round %d: reply %+v, want a non-finite cost error", scheduler, i, resp)
+			}
+			failures++
+			if got := srv.failures.Load(); got != failures {
+				t.Fatalf("%s round %d: failures = %d, want %d", scheduler, i, got, failures)
+			}
+		}
+	}
+	// A session register renders the same cost; any reply that fails to
+	// render becomes an error line.
+	register := []byte(fmt.Sprintf(`{"register":true,"instance":%s}`+"\n", inst))
+	if resp := roundTrip(t, conn, br, register); !strings.Contains(resp.Err, "render response") {
+		t.Fatalf("register: reply %+v, want a render error", resp)
+	}
+	if got := srv.failures.Load(); got != failures+1 {
+		t.Fatalf("register: failures = %d, want %d", got, failures+1)
+	}
+	if resp := roundTrip(t, conn, br, solveLine(t, serveInstance(4, 0), "CCSGA")); resp.Err != "" {
+		t.Fatalf("connection stopped serving after the overflow: %s", resp.Err)
+	}
+}
+
+// TestReplayLineMatchesMarshal pins the raw-tier splice to the second
+// render it replaces: for every reply shape, splicing "cached":true into
+// the rendered bytes must give json.Marshal of the same reply with
+// Cached set, byte for byte.
+func TestReplayLineMatchesMarshal(t *testing.T) {
+	srv, err := newSolveServer(serveOpts{cacheSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies := []solveResponse{
+		{},
+		{Cost: 1.5},
+		{Sessions: 1},
+		{Cost: 12.25, Sessions: 1, Coalitions: []coalitionJSON{{Charger: "c0", Devices: []string{"d0"}}}},
+		{Cost: 3, Cached: true},
+		{Coalitions: []coalitionJSON{{Charger: "<&>", Devices: []string{" ", `"`}}}},
+	}
+	for _, scheduler := range schedulerNames {
+		line := solveLine(t, serveInstance(8, 0), scheduler)
+		for i := 0; i < 2; i++ { // fresh, then a solution-tier hit
+			req, err := parseLine(bytes.TrimSuffix(line, []byte("\n")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			replies = append(replies, srv.handle(req))
+		}
+	}
+	for _, resp := range replies {
+		out, err := renderLine(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := replayLine(out, resp.Cached)
+		resp.Cached = true
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("splice diverged from the second render:\n got %s\nwant %s", got, want)
+		}
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/pricing"
 	"repro/internal/shard"
 )
 
@@ -124,6 +126,46 @@ func TestRunRejectsBadShardFlags(t *testing.T) {
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("%s: run accepted %v", name, args)
+		}
+	}
+}
+
+// TestServeShardInvalidInstanceSameError pins the sharded path's
+// validation: ccsd leaves validation to the solve, and shard.Solve only
+// validates cell sub-instances, so the shard branch validates the whole
+// instance itself. An invalid instance must get the same error bytes
+// with sharding on and off, on a fresh solve and on a repeat.
+func TestServeShardInvalidInstanceSameError(t *testing.T) {
+	_, dialPlain := startServer(t, 16)
+	_, dialShard := startServerOpts(t, shardServeOpts(0))
+	plain, sharded := dialPlain(), dialShard()
+	pbr, sbr := bufio.NewReader(plain), bufio.NewReader(sharded)
+
+	negative := serveInstance(24, 0)
+	negative.Devices[5].Demand = -5
+	unreachable := serveInstance(24, 0)
+	for j := range unreachable.Chargers {
+		unreachable.Chargers[j].Capacity = 50
+	}
+	badTariff := serveInstance(24, 0)
+	badTariff.Chargers[1].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 2}
+	for name, in := range map[string]*core.Instance{
+		"negative demand":  negative,
+		"over capacity":    unreachable,
+		"convex tariff":    badTariff,
+		"no chargers":      {Field: negative.Field, Devices: serveInstance(24, 0).Devices},
+		"empty":            {Field: negative.Field},
+	} {
+		line := solveLine(t, in, "CCSGA")
+		for i := 0; i < 2; i++ {
+			want := rawRoundTrip(t, plain, pbr, line)
+			got := rawRoundTrip(t, sharded, sbr, line)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s round %d: sharded error differs:\n got %s\nwant %s", name, i, got, want)
+			}
+			if !bytes.Contains(got, []byte(`"error":"core: `)) {
+				t.Fatalf("%s round %d: want a validation error, got %s", name, i, got)
+			}
 		}
 	}
 }

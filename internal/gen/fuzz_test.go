@@ -1,13 +1,26 @@
 package gen
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/instcache"
 )
 
-// FuzzDecodeInstance ensures arbitrary input never panics the decoder:
-// it must either return a valid instance or an error.
+// FuzzDecodeInstance is the differential referee for the one-pass
+// scanner: on any input, DecodeInstance (scanner first) and the
+// encoding/json reference decoder plus Validate must either both accept
+// instances with the same instcache.Fingerprint, or both reject with the
+// same error text. Whatever the scanner alone accepts, the reference
+// must decode without error into the same instance, valid or not.
 func FuzzDecodeInstance(f *testing.F) {
-	valid, err := Instance(1, Default())
+	// Small seeds keep the fuzzer's minimization of new inputs fast.
+	p := Default()
+	p.NumDevices, p.NumChargers = 3, 2
+	valid, err := Instance(1, p)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -16,19 +29,95 @@ func FuzzDecodeInstance(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(data)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, data); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact.Bytes())
+	for _, seed := range scanSeeds {
+		f.Add([]byte(seed))
+	}
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"fieldSide":10,"devices":[],"chargers":[]}`))
 	f.Add([]byte(`{"fieldSide":-1,"devices":[{"demandJ":-5}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		in, err := DecodeInstance(raw)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must be a valid instance.
-		if vErr := in.Validate(); vErr != nil {
-			t.Fatalf("DecodeInstance returned invalid instance: %v", vErr)
-		}
+		checkScanAgainstReference(t, raw)
 	})
+}
+
+// scanSeeds walk the edges of the scanner's grammar: python-style
+// separators, every charger field, and one step outside the grammar at
+// a time (signs, exponents, leading zeros, escapes, duplicates, case,
+// nulls, unknown keys, tiered tariffs, trailing bytes).
+var scanSeeds = []string{
+	`{"fieldSide": 100, "devices": [{"id": "d0", "x": 1.5, "y": -0, "demandJ": 2e2, "moveRatePerM": 0.01}], "chargers": [{"id": "c0", "x": 3, "y": 4, "feeUSD": 5, "tariff": {"kind": "powerlaw", "coeff": 0.3, "exponent": 0.9}, "efficiency": 0.8}]}`,
+	"\t{\r\n\"fieldSide\"\t:\n100 ,\"devices\":[{\"id\":\"d0\",\"x\":1,\"y\":1,\"demandJ\":100,\"moveRatePerM\":0.01}],\"chargers\":[{\"id\":\"c0\",\"x\":0,\"y\":0,\"feeUSD\":1,\"tariff\":{\"kind\":\"linear\",\"rate\":0.1},\"efficiency\":1}]} \n",
+	`{"fieldSide":100,"devices":[{"id":"d0","x":1,"y":1,"demandJ":100,"moveRatePerM":0.01}],"chargers":[{"id":"c0","x":0,"y":0,"feeUSD":1,"tariff":{"kind":"linear","rate":0.1},"efficiency":0.9,"capacityJ":500,"mobile":true,"moveRatePerM":0.1,"speedMPerS":3,"travelBudgetM":4000,"depotX":5,"depotY":6}]}`,
+	`{"fieldSide":100,"devices":[],"chargers":[{"id":"c0","x":0,"y":0,"feeUSD":1,"tariff":{"kind":"linear","rate":0.1},"efficiency":1,"mobile":false}]}`,
+	`{"fieldSide":+10,"devices":[],"chargers":[]}`,
+	`{"fieldSide":010,"devices":[],"chargers":[]}`,
+	`{"fieldSide":1.,"devices":[],"chargers":[]}`,
+	`{"fieldSide":.5,"devices":[],"chargers":[]}`,
+	`{"fieldSide":1e,"devices":[],"chargers":[]}`,
+	`{"fieldSide":1E+2,"devices":[],"chargers":[]}`,
+	`{"fieldSide":-0.0e-0,"devices":[],"chargers":[]}`,
+	`{"fieldSide":1e400,"devices":[],"chargers":[]}`,
+	`{"fieldSide":Infinity,"devices":[],"chargers":[]}`,
+	`{"fieldSide":null,"devices":null,"chargers":null}`,
+	`{"fieldSide":10,"fieldSide":20}`,
+	`{"FieldSide":10}`,
+	`{"fieldSide":10,"extra":1}`,
+	`{"fieldSide":"10"}`,
+	`{"fieldSide":10} x`,
+	`{"fieldSide":10}{}`,
+	`{"fieldSide":10,}`,
+	`{"devices":[{"id":"d\u0030","x":1,"y":1,"demandJ":1,"moveRatePerM":0}]}`,
+	`{"devices":[{"id":"dé","x":1,"y":1,"demandJ":1,"moveRatePerM":0}]}`,
+	`{"devices":[{"id":5,"x":1,"y":1,"demandJ":1,"moveRatePerM":0}]}`,
+	`{"devices":[{"id":"d","x":1,"y":1,"demandJ":1,"moveRatePerM":0},]}`,
+	`{"chargers":[{"id":"c","tariff":{"kind":"tiered","tiers":[{"upTo":"100","rate":2},{"upTo":"inf","rate":1}]},"efficiency":1}]}`,
+	`{"chargers":[{"id":"c","tariff":{"kind":"bogus"},"efficiency":1}]}`,
+	`{"chargers":[{"id":"c","efficiency":1}]}`,
+	`{"chargers":[{"id":"c","tariff":{"kind":"linear","rate":1},"mobile":1}]}`,
+	`{"chargers":[{"id":"c","tariff":{"kind":"linear","rate":1},"mobile":tru}]}`,
+	`{"chargers":[{"id":"c","tariff":{"kind":"linear","rate":1,"kind":"linear"}}]}`,
+}
+
+// checkScanAgainstReference is the differential check behind
+// FuzzDecodeInstance.
+func checkScanAgainstReference(t *testing.T, raw []byte) {
+	t.Helper()
+	got, gotErr := DecodeInstance(raw)
+	want, wantErr := decodeReference(raw)
+	if wantErr == nil {
+		wantErr = want.Validate()
+	}
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("DecodeInstance error %v, reference error %v", gotErr, wantErr)
+	case gotErr != nil && gotErr.Error() != wantErr.Error():
+		t.Fatalf("error text differs:\n scan first: %v\n reference:  %v", gotErr, wantErr)
+	case gotErr == nil:
+		sameInstance(t, got, want)
+	}
+	if scanned, ok := scanInstance(raw); ok {
+		ref, err := decodeReference(raw)
+		if err != nil {
+			t.Fatalf("scanner accepted %q, reference rejects it: %v", raw, err)
+		}
+		sameInstance(t, scanned, ref)
+	}
+}
+
+// sameInstance requires equal fingerprints (floats by bit pattern) and
+// deep equality.
+func sameInstance(t *testing.T, a, b *core.Instance) {
+	t.Helper()
+	fa, errA := instcache.Fingerprint(a)
+	fb, errB := instcache.Fingerprint(b)
+	if errA != nil || errB != nil || fa != fb || !reflect.DeepEqual(a, b) {
+		t.Fatalf("scanned instance differs from the reference decode:\n %+v\n %+v", a, b)
+	}
 }
 
 // FuzzEncodeDecodeRoundTrip checks that every generated instance survives

@@ -91,6 +91,31 @@ func EncodeInstance(in *core.Instance) ([]byte, error) {
 
 // DecodeInstance unmarshals an instance from JSON and validates it.
 func DecodeInstance(data []byte) (*core.Instance, error) {
+	in, err := ParseInstance(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// ParseInstance unmarshals an instance from JSON without validating it,
+// for callers that validate later anyway (core.NewCostModel does). The
+// one-pass scanner decodes the common form; anything outside its
+// grammar goes to the encoding/json reference decoder, so the result
+// and every error are the reference's.
+func ParseInstance(data []byte) (*core.Instance, error) {
+	if in, ok := scanInstance(data); ok {
+		return in, nil
+	}
+	return decodeReference(data)
+}
+
+// decodeReference is the encoding/json decoder the scanner must match:
+// it decodes every input, and its errors are the public ones.
+func decodeReference(data []byte) (*core.Instance, error) {
 	var dto InstanceDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return nil, fmt.Errorf("gen: decode instance: %w", err)
@@ -112,9 +137,6 @@ func DecodeInstance(data []byte) (*core.Instance, error) {
 			Mobile: c.Mobile, MoveRate: c.MoveRate, Speed: c.Speed,
 			TravelBudget: c.Budget, Depot: geom.Pt(c.DepotX, c.DepotY),
 		})
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
 	}
 	return in, nil
 }

@@ -47,3 +47,52 @@ func FuzzTieredPrice(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTariffValidate pins Validate's analytic fast path to the grid spot
+// check it skips: for any tariff, energy range and sample count, the
+// analytic-then-spot verdict must equal the spot check alone, error text
+// included. kind picks the tariff: 0 Linear{a}, 1 PowerLaw{a, b}, 2 a
+// three-tier Tiered with bounds a, d and rates b, c, c/2.
+func FuzzTariffValidate(f *testing.F) {
+	f.Add(uint8(0), 0.15, 0.0, 0.0, 0.0, 1.5e5, 64)
+	f.Add(uint8(0), -0.5, 0.0, 0.0, 0.0, 100.0, 64)
+	f.Add(uint8(0), 1e300, 0.0, 0.0, 0.0, 1e10, 64)
+	f.Add(uint8(1), 0.33, 0.9, 0.0, 0.0, 1.5e5, 64)
+	f.Add(uint8(1), 1.0, 2.0, 0.0, 0.0, 100.0, 64)
+	f.Add(uint8(1), 1.0, math.Nextafter(1, 2), 0.0, 0.0, 1e6, 64)
+	f.Add(uint8(1), 1.0, math.Nextafter(1, 0), 0.0, 0.0, 1e6, 64)
+	f.Add(uint8(1), 1e7, 1e-300, 0.0, 0.0, 1e6, 64)
+	f.Add(uint8(1), 1e7, 1e-12, 0.0, 0.0, 1e6, 64)
+	f.Add(uint8(1), 1e7, 1.0/1024, 0.0, 0.0, 1e250, 1<<16)
+	f.Add(uint8(1), 1e300, 0.5, 0.0, 0.0, 1e10, 64)
+	f.Add(uint8(1), 5e-324, 0.5, 0.0, 0.0, 100.0, 64)
+	f.Add(uint8(1), 1.0, 0.001, 0.0, 0.0, 5e-324, 64)
+	f.Add(uint8(1), 1.0, 0.5, 0.0, 0.0, math.Inf(1), 64)
+	f.Add(uint8(1), 1.0, 0.5, 0.0, 0.0, 100.0, 2)
+	f.Add(uint8(2), 100.0, 2.0, 1.0, 1e3, 1e4, 64)
+	f.Add(uint8(2), math.NaN(), 2.0, 1.0, 5.0, 10.0, 64)
+	f.Add(uint8(2), -5.0, 2.0, 1.0, 5.0, 1e4, 64)
+	f.Add(uint8(2), 1e3, 1e300, 1e299, 1e4, 1e6, 64)
+	f.Fuzz(func(t *testing.T, kind uint8, a, b, c, d, maxEnergy float64, samples int) {
+		if samples > 1<<17 {
+			return // keep the grid small; the analytic cap is 1<<16
+		}
+		var tariff Tariff
+		switch kind % 3 {
+		case 0:
+			tariff = Linear{Rate: a}
+		case 1:
+			tariff = PowerLaw{Coeff: a, Exponent: b}
+		default:
+			tr, err := NewTiered([]Tier{{UpTo: a, Rate: b}, {UpTo: d, Rate: c}, {UpTo: math.Inf(1), Rate: c / 2}})
+			if err != nil {
+				return
+			}
+			tariff = tr
+		}
+		got, want := Validate(tariff, maxEnergy, samples), spotCheck(tariff, maxEnergy, samples)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("Validate(%s, %v, %d) = %v, spot check alone = %v", tariff.Name(), maxEnergy, samples, got, want)
+		}
+	})
+}

@@ -161,7 +161,86 @@ func (t *Tiered) Tiers() []Tier {
 // concave on a grid of sample energies up to maxEnergy. It returns nil if
 // all checks pass. It is used by tests and by instance validation to catch
 // hand-rolled tariffs that would silently break CCSA's guarantees.
+//
+// The closed-form tariffs are first accepted analytically (see
+// concaveByForm); only a tariff that check does not accept is priced on
+// the grid. The analytic region lies inside the region the grid check
+// accepts, so the verdict and any error are exactly the grid check's.
 func Validate(tariff Tariff, maxEnergy float64, samples int) error {
+	if samples >= 3 && concaveByForm(tariff, maxEnergy, samples) {
+		return nil
+	}
+	return spotCheck(tariff, maxEnergy, samples)
+}
+
+// The bounds of concaveByForm's analytic region; its comment says why
+// each one is needed. math.Pow's relative error grows with |log E| and
+// stays near 1e-13 for energies within 1e±250.
+const (
+	formMinEnergy   = 1e-250
+	formMaxEnergy   = 1e250
+	formMaxPrice    = 1e300
+	formMinExponent = 1.0 / 1024
+	formMaxSamples  = 1 << 16
+	formMaxTiers    = 1024
+)
+
+// concaveByForm reports whether tariff is one of the closed forms that
+// provably passes spotCheck(tariff, maxEnergy, samples) with samples >= 3:
+//
+//   - Linear with a rate >= 0 and a top price Rate·maxEnergy <= 1e300:
+//     IEEE multiplication rounds monotonically, so the grid prices never
+//     decrease, and the midpoint gap is zero up to a few ulps of the
+//     price, far inside the check's 1e-9·(1+|f|) slack.
+//   - PowerLaw with Coeff >= 0, Exponent in [2^-10, 1] and a top price
+//     <= 1e300: the function is concave and increasing, so the true
+//     midpoint gap is >= 0 and the true step between grid points is at
+//     least Exponent/samples >= 2^-26 of the price — five orders of
+//     magnitude above math.Pow's ~1e-13 relative error — so neither the
+//     monotone nor the concavity test can trip on rounding. A price
+//     that underflows is below 1e-300, far below the check's absolute
+//     1e-9 slack.
+//   - *Tiered with at most 1024 tiers, finite positive rates (NewTiered
+//     keeps them nonincreasing), finite bounds >= 0 and a top price
+//     rate₀·maxEnergy <= 1e300: the price is the integral of a
+//     nonincreasing step function from 0, so it is concave; the computed
+//     price is monotone exactly (each tier's term is a monotone rounded
+//     expression, and adding a nonnegative term never lowers a sum), and
+//     its relative error of at most (tiers+2) ulps is far inside the
+//     concavity slack.
+//
+// Every bound is checked with comparisons that fail on NaN, and
+// maxEnergy must lie in [1e-250, 1e250] so the grid points are normal
+// floats carrying their relative error. Outside this region Validate
+// falls back to the grid check, so the region only has to be a subset.
+func concaveByForm(tariff Tariff, maxEnergy float64, samples int) bool {
+	if !(maxEnergy >= formMinEnergy && maxEnergy <= formMaxEnergy) || samples > formMaxSamples {
+		return false
+	}
+	switch tf := tariff.(type) {
+	case Linear:
+		return tf.Rate >= 0 && tf.Rate*maxEnergy <= formMaxPrice
+	case PowerLaw:
+		return tf.Exponent >= formMinExponent && tf.Exponent <= 1 &&
+			tf.Coeff >= 0 && tf.Coeff*math.Pow(maxEnergy, tf.Exponent) <= formMaxPrice
+	case *Tiered:
+		if len(tf.tiers) > formMaxTiers || !(tf.tiers[0].Rate*maxEnergy <= formMaxPrice) {
+			return false
+		}
+		for _, tr := range tf.tiers {
+			if !(tr.Rate > 0) || !(tr.UpTo >= 0) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// spotCheck prices tariff on an even grid of samples energies up to
+// maxEnergy and checks it is zero at zero, nondecreasing and
+// midpoint-concave, each within a 1e-9 slack.
+func spotCheck(tariff Tariff, maxEnergy float64, samples int) error {
 	if samples < 3 {
 		return errors.New("pricing: need at least 3 samples")
 	}

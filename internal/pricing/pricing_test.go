@@ -207,3 +207,72 @@ func TestMarginalRate(t *testing.T) {
 		t.Errorf("MarginalRate h=0 fallback = %v", got)
 	}
 }
+
+// TestConcaveByFormAcceptsServiceTariffs keeps the analytic fast path
+// live for the tariffs the generators and the service actually carry: a
+// regression that silently sends them back to the grid check fails here.
+func TestConcaveByFormAcceptsServiceTariffs(t *testing.T) {
+	for _, tt := range []struct {
+		tariff    Tariff
+		maxEnergy float64
+	}{
+		{Linear{Rate: 0.12}, 1.5e5},
+		{PowerLaw{Coeff: 0.33, Exponent: 0.9}, 1.5e5},
+		{PowerLaw{Coeff: 0.2, Exponent: 1}, 1e9},
+		{MustTiered([]Tier{{UpTo: 100, Rate: 2}, {UpTo: math.Inf(1), Rate: 1}}), 1e4},
+	} {
+		if !concaveByForm(tt.tariff, tt.maxEnergy, 64) {
+			t.Errorf("%s over %v J: not accepted analytically", tt.tariff.Name(), tt.maxEnergy)
+		}
+		if err := spotCheck(tt.tariff, tt.maxEnergy, 64); err != nil {
+			t.Errorf("%s over %v J: spot check rejects an analytically accepted tariff: %v", tt.tariff.Name(), tt.maxEnergy, err)
+		}
+	}
+}
+
+// TestConcaveByFormInsideSpotCheck samples the analytic region
+// log-uniformly — coefficients and rates across the magnitudes the
+// region admits, exponents down to 2^-10, energy ranges across 1e±250 —
+// and requires the grid check to accept every tariff the analytic check
+// accepts (the byte-mutating fuzzer rarely reaches the region's edges).
+func TestConcaveByFormInsideSpotCheck(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	logU := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*r.Float64()) }
+	accepted := 0
+	for k := 0; k < 20000; k++ {
+		maxEnergy := logU(-250, 250)
+		samples := 3 + r.Intn(200)
+		if k%200 == 0 {
+			samples = formMaxSamples
+		}
+		var tariff Tariff
+		switch k % 3 {
+		case 0:
+			tariff = Linear{Rate: logU(-320, 300) / maxEnergy}
+		case 1:
+			exp := 1 - r.Float64()*(1-formMinExponent)
+			if k%7 == 0 {
+				exp = formMinExponent
+			}
+			tariff = PowerLaw{Coeff: logU(-320, 300) / math.Pow(maxEnergy, exp), Exponent: exp}
+		default:
+			r0 := logU(-300, 300) / maxEnergy
+			tiers := []Tier{{UpTo: maxEnergy * r.Float64(), Rate: r0}, {UpTo: maxEnergy, Rate: r0 * r.Float64()}, {UpTo: math.Inf(1), Rate: r0 * 1e-3}}
+			tr, err := NewTiered(tiers)
+			if err != nil {
+				continue
+			}
+			tariff = tr
+		}
+		if !concaveByForm(tariff, maxEnergy, samples) {
+			continue
+		}
+		accepted++
+		if err := spotCheck(tariff, maxEnergy, samples); err != nil {
+			t.Fatalf("%#v over %v J, %d samples: accepted analytically, spot check says %v", tariff, maxEnergy, samples, err)
+		}
+	}
+	if accepted < 10000 {
+		t.Errorf("only %d of 20000 samples landed in the analytic region", accepted)
+	}
+}

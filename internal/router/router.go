@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/instcache"
 	"repro/internal/obs"
@@ -286,43 +287,52 @@ func (rt *Router) handleLine(line []byte, sessionBackend **backend) []byte {
 		}
 	}
 
-	var req routeRequest
-	if err := json.Unmarshal(line, &req); err != nil {
-		return rt.failLine("bad request: " + err.Error())
-	}
-	switch {
-	case req.Stats:
-		return rt.statsLine()
-	case req.Register:
-		return rt.sessionLine(line, req, sessionBackend)
-	case req.Session != 0:
-		if *sessionBackend == nil {
-			return rt.failLine("unknown session: sessions are pinned to the connection that registered them")
+	// A plain solve line is scanned in one pass; every other verb, and
+	// any solve line outside the scanner's grammar, takes encoding/json,
+	// which yields the same request whenever the scanner accepts.
+	in, name, scanned := gen.ScanSolveRequest(line)
+	if !scanned {
+		var req routeRequest
+		if err := json.Unmarshal(line, &req); err != nil {
+			return rt.failLine("bad request: " + err.Error())
 		}
-		return rt.sessionForward(line, *sessionBackend)
-	case len(req.Instance) == 0:
-		return rt.failLine("request has neither an instance nor a stats query")
+		switch {
+		case req.Stats:
+			return rt.statsLine()
+		case req.Register:
+			return rt.sessionLine(line, req, sessionBackend)
+		case req.Session != 0:
+			if *sessionBackend == nil {
+				return rt.failLine("unknown session: sessions are pinned to the connection that registered them")
+			}
+			return rt.sessionForward(line, *sessionBackend)
+		case len(req.Instance) == 0:
+			return rt.failLine("request has neither an instance nor a stats query")
+		}
+		var err error
+		if in, err = gen.ParseInstance(req.Instance); err != nil {
+			return rt.failLine(err.Error())
+		}
+		name = req.Scheduler
 	}
-
-	key, err := rt.solveKey(req)
+	key, err := solveKey(in, name)
 	if err != nil {
 		return rt.failLine(err.Error())
 	}
 	return rt.coalesce(key, sum, line)
 }
 
-// solveKey fingerprints a stateless solve for routing and coalescing,
+// solveKey validates a decoded solve instance — the router rejects an
+// invalid one locally — and fingerprints it for routing and coalescing,
 // normalizing the scheduler name the same way the backend does.
-func (rt *Router) solveKey(req routeRequest) (instcache.Key, error) {
-	in, err := gen.DecodeInstance(req.Instance)
-	if err != nil {
+func solveKey(in *core.Instance, scheduler string) (instcache.Key, error) {
+	if err := in.Validate(); err != nil {
 		return instcache.Key{}, err
 	}
-	name := req.Scheduler
-	if name == "" {
-		name = "CCSA"
+	if scheduler == "" {
+		scheduler = "CCSA"
 	}
-	return instcache.KeyFor(in, name, "")
+	return instcache.KeyFor(in, scheduler, "")
 }
 
 // coalesce collapses concurrent solves of one fingerprint into a single
@@ -414,7 +424,11 @@ func (rt *Router) sessionLine(line []byte, req routeRequest, sessionBackend **ba
 		if len(req.Instance) == 0 {
 			return rt.failLine("register carries no instance")
 		}
-		key, err := rt.solveKey(req)
+		in, err := gen.ParseInstance(req.Instance)
+		if err != nil {
+			return rt.failLine(err.Error())
+		}
+		key, err := solveKey(in, req.Scheduler)
 		if err != nil {
 			return rt.failLine(err.Error())
 		}
