@@ -57,6 +57,60 @@ func TestCapacityValidation(t *testing.T) {
 	}
 }
 
+// TestCapacityToleranceAgreesWithDeltaOps: Instance.Validate and the
+// delta ops share one fits-alone rule, with the 1e-12 relative tolerance
+// of every session-capacity check. A device that overshoots a 100 J
+// capacity by 5e-13 relative is accepted by AddDevice and UpdateDevice,
+// so a fresh build over the patched instance must accept it too and give
+// the same tables; one that overshoots by 1e-9 is rejected by all three.
+func TestCapacityToleranceAgreesWithDeltaOps(t *testing.T) {
+	base := func() *Instance {
+		return &Instance{
+			Field:   geom.Square(100),
+			Devices: []Device{{ID: "a", Pos: geom.Pt(10, 10), Demand: 50, MoveRate: 0.01}},
+			Chargers: []Charger{{ID: "only", Pos: geom.Pt(25, 10), Fee: 2,
+				Tariff: pricing.Linear{Rate: 0.02}, Efficiency: 1, Capacity: 100}},
+		}
+	}
+	edge := Device{ID: "edge", Pos: geom.Pt(30, 10), Demand: 100 * (1 + 5e-13), MoveRate: 0.01}
+	for _, op := range []string{"AddDevice", "UpdateDevice"} {
+		cm := mustCostModel(t, base())
+		var err error
+		if op == "AddDevice" {
+			err = cm.AddDevice(edge)
+		} else {
+			err = cm.UpdateDevice(0, edge)
+		}
+		if err != nil {
+			t.Fatalf("%s of a device within the capacity tolerance: %v", op, err)
+		}
+		fresh, err := NewCostModel(cloneInstance(cm.Instance()))
+		if err != nil {
+			t.Fatalf("%s accepted the device, a fresh build rejects it: %v", op, err)
+		}
+		for i := 0; i < cm.NumDevices(); i++ {
+			gotCost, gotJ := cm.StandaloneCost(i)
+			wantCost, wantJ := fresh.StandaloneCost(i)
+			if gotCost != wantCost || gotJ != wantJ {
+				t.Errorf("%s: device %d standalone (%v, %d), fresh build (%v, %d)", op, i, gotCost, gotJ, wantCost, wantJ)
+			}
+		}
+	}
+	over := edge
+	over.Demand = 100 * (1 + 1e-9)
+	if err := mustCostModel(t, base()).AddDevice(over); err == nil {
+		t.Error("AddDevice accepted a device beyond the capacity tolerance")
+	}
+	if err := mustCostModel(t, base()).UpdateDevice(0, over); err == nil {
+		t.Error("UpdateDevice accepted a device beyond the capacity tolerance")
+	}
+	in := base()
+	in.Devices = append(in.Devices, over)
+	if err := in.Validate(); err == nil || !strings.Contains(err.Error(), "fits no charger") {
+		t.Errorf("Validate of a device beyond the capacity tolerance: %v", err)
+	}
+}
+
 func TestFeasibleAndValidateCapacity(t *testing.T) {
 	cm := mustCostModel(t, capacitatedInstance())
 	if !cm.HasCapacity() {

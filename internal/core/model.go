@@ -139,21 +139,27 @@ func (in *Instance) Validate() error {
 	// all.
 	for i, d := range in.Devices {
 		fits := false
-		for _, c := range in.Chargers {
-			if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity {
-				continue
+		for j := range in.Chargers {
+			c := &in.Chargers[j]
+			if c.fitsAlone(d.Demand/c.Efficiency, d.Pos) {
+				fits = true
+				break
 			}
-			if !c.reaches(d.Pos) {
-				continue
-			}
-			fits = true
-			break
 		}
 		if !fits {
 			return fmt.Errorf("core: device %d (%s) fits no charger's session capacity or travel budget", i, d.ID)
 		}
 	}
 	return nil
+}
+
+// fitsAlone reports whether the charger can serve, alone, a device at p
+// that purchases e joules: the purchase fits the session capacity within
+// the 1e-12 relative tolerance every session-capacity check uses, and a
+// budgeted mobile charger reaches p. Instance.Validate and the cost
+// model share it, so an instance the delta ops accept always rebuilds.
+func (c *Charger) fitsAlone(e float64, p geom.Point) bool {
+	return !(c.Capacity > 0 && e > c.Capacity*(1+1e-12)) && c.reaches(p)
 }
 
 // Coalition is one charging session: the set of devices served together by
@@ -235,6 +241,11 @@ type CostModel struct {
 	standalone []float64
 	// standaloneCharger[i] is the charger attaining standalone[i].
 	standaloneCharger []int
+	// env[j] is a lower envelope of charger j's tariff; bound is
+	// standaloneFor's scratch row of per-charger singleton cost bounds.
+	// Both are touched only at construction and by the delta ops.
+	env   []pricing.Envelope
+	bound []float64
 	// listener, when non-nil, observes successful delta mutations so
 	// incremental solver state (RepairState) can track which session
 	// slots each patch dirtied. At most one listener; attaching a new one
@@ -265,79 +276,124 @@ type mutationListener interface {
 func (cm *CostModel) setListener(l mutationListener) { cm.listener = l }
 
 // NewCostModel validates the instance and precomputes its cost tables.
+// The moving-cost rows share one backing array, and each charger's
+// tariff gets its lower envelope over the largest single-device purchase
+// there, so standaloneFor prices the tariff only where it can win.
 func NewCostModel(in *Instance) (*CostModel, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	n := len(in.Devices)
+	n, m := len(in.Devices), len(in.Chargers)
 	cm := &CostModel{
 		inst:              in,
 		move:              make([][]float64, n),
 		standalone:        make([]float64, n),
 		standaloneCharger: make([]int, n),
+		env:               make([]pricing.Envelope, m),
+		bound:             make([]float64, m),
 	}
-	for _, c := range in.Chargers {
+	// Envelope grids span [0, the largest single-device purchase]; a
+	// device added later with a larger demand falls above the grid,
+	// where the envelope stays a valid bound.
+	var maxDemand float64
+	for _, d := range in.Devices {
+		maxDemand = math.Max(maxDemand, d.Demand)
+	}
+	for j := range in.Chargers {
+		c := &in.Chargers[j]
 		if c.Mobile {
 			cm.hasMobility = true
 			if c.TravelBudget > 0 {
 				cm.hasBudget = true
 			}
 		}
+		cm.env[j] = pricing.NewEnvelope(c.Tariff, maxDemand/c.Efficiency)
 	}
+	flat := make([]float64, n*m)
 	for i, d := range in.Devices {
-		cm.move[i], cm.standalone[i], cm.standaloneCharger[i] = cm.deviceRow(d)
+		row := flat[i*m : (i+1)*m : (i+1)*m]
+		cm.fillMove(d, row)
+		cm.move[i] = row
+		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(d, row)
 	}
 	return cm, nil
 }
 
-// deviceRow computes device d's moving-cost row and standalone cost
-// against the model's chargers — the only per-device work NewCostModel
-// does, shared with the incremental mutators. O(m).
-func (cm *CostModel) deviceRow(d Device) (row []float64, standalone float64, standaloneCharger int) {
-	m := len(cm.inst.Chargers)
-	row = make([]float64, m)
+// fillMove writes device d's moving cost to every charger into row.
+func (cm *CostModel) fillMove(d Device, row []float64) {
 	for j := range cm.inst.Chargers {
 		if cm.inst.Chargers[j].Mobile {
-			continue // the charger drives to the device: row[j] stays 0
+			row[j] = 0 // the charger drives to the device
+			continue
 		}
 		row[j] = d.MoveRate * d.Pos.Dist(cm.inst.Chargers[j].Pos)
 	}
+}
+
+// deviceRow computes device d's moving-cost row and standalone cost
+// against the model's chargers, for the incremental mutators. O(m).
+func (cm *CostModel) deviceRow(d Device) (row []float64, standalone float64, standaloneCharger int) {
+	row = make([]float64, len(cm.inst.Chargers))
+	cm.fillMove(d, row)
 	standalone, standaloneCharger = cm.standaloneFor(d, row)
 	return row, standalone, standaloneCharger
 }
 
 // standaloneFor computes device d's cheapest singleton session over a
-// precomputed moving-cost row — shared by deviceRow and SetTariff (which
-// must re-rank singletons without recomputing unchanged move costs).
+// precomputed moving-cost row: the lowest cost, ties to the lowest
+// charger index, exactly as a scan pricing every charger the device fits
+// alone would find it.
 //
-// A charger whose fee plus moving cost already reaches the best cost so
-// far is skipped before its tariff is priced. The skip is exact: the
-// tariff and a mobile charger's travel leg are nonnegative, and IEEE
-// addition is monotone, so the full cost would round to at least
-// Fee+row[j] and lose the strict comparison anyway. Chargers are still
-// visited in index order, so ties resolve as before.
+// It first writes a lower bound on every charger's singleton cost into
+// the bound scratch row — Fee + envelope(purchase) + move, +Inf where the
+// device does not fit alone — then prices the charger with the smallest
+// bound, then walks the chargers in index order and prices only those
+// whose bound is below the best cost so far, or equal to it at a lower
+// index. A skipped charger's cost is at least its bound (IEEE addition is
+// monotone, and a mobile charger's travel leg is nonnegative), so it
+// could neither beat the best cost nor tie it at a lower index. DESIGN §5
+// has the argument in full.
 func (cm *CostModel) standaloneFor(d Device, row []float64) (float64, int) {
-	best, bestJ := math.Inf(1), -1
+	bound := cm.bound
+	first, firstBound := -1, math.Inf(1)
 	for j := range cm.inst.Chargers {
 		c := &cm.inst.Chargers[j]
-		if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
-			continue
-		}
-		if c.Fee+row[j] >= best {
-			continue
-		}
-		cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + row[j]
-		if c.Mobile {
-			if !c.reaches(d.Pos) {
-				continue
+		e := d.Demand / c.Efficiency
+		b := math.Inf(1)
+		if c.fitsAlone(e, d.Pos) {
+			b = c.Fee + cm.env[j].Lower(e) + row[j]
+			if b < firstBound {
+				first, firstBound = j, b
 			}
-			cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
 		}
-		if cost < best {
+		bound[j] = b
+	}
+	best, bestJ := math.Inf(1), -1
+	if first < 0 {
+		return best, bestJ
+	}
+	if cost := cm.singletonCost(d, row, first); cost < best {
+		best, bestJ = cost, first
+	}
+	for j, b := range bound {
+		if j == first || !(b < best || b == best && j < bestJ) {
+			continue
+		}
+		if cost := cm.singletonCost(d, row, j); cost < best || cost == best && j < bestJ {
 			best, bestJ = cost, j
 		}
 	}
 	return best, bestJ
+}
+
+// singletonCost prices device d's session alone at charger j.
+func (cm *CostModel) singletonCost(d Device, row []float64, j int) float64 {
+	c := &cm.inst.Chargers[j]
+	cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + row[j]
+	if c.Mobile {
+		cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
+	}
+	return cost
 }
 
 // AddDevice appends one device to the model (and its instance), patching
@@ -464,14 +520,17 @@ func (cm *CostModel) SetTariff(j int, t pricing.Tariff) error {
 	if t == nil {
 		return fmt.Errorf("core: charger %d (%s) has no tariff", j, cm.inst.Chargers[j].ID)
 	}
-	var maxDemand float64
+	var sumDemand, maxDemand float64
 	for _, d := range cm.inst.Devices {
-		maxDemand += d.Demand
+		sumDemand += d.Demand
+		maxDemand = math.Max(maxDemand, d.Demand)
 	}
-	if err := pricing.Validate(t, maxDemand/cm.inst.Chargers[j].Efficiency+1, 64); err != nil {
-		return fmt.Errorf("core: charger %d (%s): %w", j, cm.inst.Chargers[j].ID, err)
+	c := &cm.inst.Chargers[j]
+	if err := pricing.Validate(t, sumDemand/c.Efficiency+1, 64); err != nil {
+		return fmt.Errorf("core: charger %d (%s): %w", j, c.ID, err)
 	}
-	cm.inst.Chargers[j].Tariff = t
+	c.Tariff = t
+	cm.env[j] = pricing.NewEnvelope(t, maxDemand/c.Efficiency)
 	for i := range cm.inst.Devices {
 		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(cm.inst.Devices[i], cm.move[i])
 	}

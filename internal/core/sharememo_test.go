@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/coalition"
+	"repro/internal/geom"
 	"repro/internal/pricing"
 )
 
@@ -222,44 +223,174 @@ func TestShareMemoPricesFewerTariffs(t *testing.T) {
 	}
 }
 
-// TestStandaloneSkipMatchesPlainScan checks the cost model's exact
-// fee-plus-moving-cost skip: every device's standalone cost and charger
-// must equal the plain scan that prices every feasible charger.
+// opaqueTariff hides a tariff's closed form, so the cost model gives it
+// no envelope and bounds its prices by zero.
+type opaqueTariff struct{ pricing.Tariff }
+
+// skipTestTariff draws a random concave tariff: linear (sometimes free,
+// so bounds and costs tie exactly), power-law, multi-tier, or one of
+// those hidden behind opaqueTariff.
+func skipTestTariff(r *rand.Rand) pricing.Tariff {
+	var t pricing.Tariff
+	switch r.Intn(4) {
+	case 0:
+		t = pricing.Linear{Rate: 0.01 + r.Float64()*0.05}
+	case 1:
+		t = pricing.PowerLaw{Coeff: 0.05 + r.Float64()*0.4, Exponent: 0.5 + r.Float64()*0.5}
+	case 2:
+		tiers := []pricing.Tier{}
+		rate, upTo := 0.03+r.Float64()*0.05, 0.0
+		for k := r.Intn(4); k > 0; k-- {
+			upTo += 20 + r.Float64()*300
+			tiers = append(tiers, pricing.Tier{UpTo: upTo, Rate: rate})
+			rate *= 0.3 + r.Float64()*0.7
+		}
+		t = pricing.MustTiered(append(tiers, pricing.Tier{UpTo: math.Inf(1), Rate: rate}))
+	default:
+		t = pricing.Linear{}
+	}
+	if r.Intn(5) == 0 {
+		t = opaqueTariff{t}
+	}
+	return t
+}
+
+// skipTestInstance is randInstance with skipTestTariff tariffs, session
+// capacities on some chargers, budgeted mobile chargers, and exact
+// duplicates of some chargers (equal costs, so ties must go to the lower
+// index). Charger 0 stays stationary and uncapacitated, so every device,
+// however large, fits somewhere.
+func skipTestInstance(r *rand.Rand, n, m int) *Instance {
+	in := randInstance(r, n, m)
+	for j := range in.Chargers {
+		c := &in.Chargers[j]
+		c.Tariff = skipTestTariff(r)
+		if j == 0 {
+			continue
+		}
+		switch r.Intn(6) {
+		case 0:
+			c.Capacity = 200 + r.Float64()*400
+		case 1:
+			c.Mobile = true
+			c.MoveRate = 0.01 + r.Float64()*0.05
+			c.TravelBudget = 1500 + r.Float64()*2000
+		case 2:
+			*c = in.Chargers[r.Intn(j)]
+			if r.Intn(2) == 0 {
+				c.Tariff = opaqueTariff{c.Tariff}
+			}
+		}
+	}
+	return in
+}
+
+// requireStandaloneMatchesPlainScan checks every device's standalone
+// cost and charger against a scan that prices every charger the device
+// fits alone at, with the moving costs recomputed from the positions.
+func requireStandaloneMatchesPlainScan(t *testing.T, cm *CostModel, tag string) {
+	t.Helper()
+	in := cm.Instance()
+	for i, d := range in.Devices {
+		best, bestJ := math.Inf(1), -1
+		for j, c := range in.Chargers {
+			move := d.MoveRate * d.Pos.Dist(c.Pos)
+			if c.Mobile {
+				move = 0
+			}
+			if got := cm.MovingCost(i, j); got != move {
+				t.Fatalf("%s: device %d charger %d moving cost %v, want %v", tag, i, j, got, move)
+			}
+			if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
+				continue
+			}
+			cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + move
+			if c.Mobile {
+				if !c.reaches(d.Pos) {
+					continue
+				}
+				cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
+			}
+			if cost < best {
+				best, bestJ = cost, j
+			}
+		}
+		if got, gotJ := cm.StandaloneCost(i); got != best || gotJ != bestJ {
+			t.Fatalf("%s: device %d standalone (%v, %d), plain scan (%v, %d)", tag, i, got, gotJ, best, bestJ)
+		}
+	}
+}
+
+// TestStandaloneSkipMatchesPlainScan is the differential referee for the
+// envelope skip in standaloneFor: over linear, power-law, tiered and
+// envelope-less tariffs, capacities, budgeted mobile chargers, duplicate
+// chargers and m > 64, every device's (standalone cost, charger) must
+// equal the plain scan's — after the build and after every op of a delta
+// stream of AddDevice (demands above the envelope grid), UpdateDevice,
+// RemoveDevice and SetTariff.
 func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 	r := rand.New(rand.NewSource(2121))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		n, m := 1+r.Intn(30), 1+r.Intn(9)
+		if trial%5 == 4 {
+			m = 65 + r.Intn(30)
+		}
 		var in *Instance
-		switch trial % 3 {
+		switch trial % 4 {
 		case 0:
 			in = randInstance(r, n, m)
 		case 1:
 			in = warmInstance(r, n, m, true)
-		default:
+		case 2:
 			in = randMobileInstance(r, n, m)
+		default:
+			in = skipTestInstance(r, n, m)
 		}
 		cm := mustCostModel(t, in)
-		for i, d := range in.Devices {
-			best, bestJ := math.Inf(1), -1
-			for j, c := range in.Chargers {
-				if c.Capacity > 0 && d.Demand/c.Efficiency > c.Capacity*(1+1e-12) {
-					continue
-				}
-				cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + cm.MovingCost(i, j)
-				if c.Mobile {
-					if !c.reaches(d.Pos) {
-						continue
-					}
-					cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
-				}
-				if cost < best {
-					best, bestJ = cost, j
-				}
+		tag := fmt.Sprintf("trial %d (n=%d m=%d)", trial, n, m)
+		requireStandaloneMatchesPlainScan(t, cm, tag+" build")
+		if trial%4 == 1 {
+			continue // warmInstance's capacities may not fit grown demands
+		}
+		for op := 0; op < 12; op++ {
+			var maxDemand float64
+			for _, d := range cm.Instance().Devices {
+				maxDemand = math.Max(maxDemand, d.Demand)
 			}
-			if got, gotJ := cm.StandaloneCost(i); got != best || gotJ != bestJ {
-				t.Fatalf("trial %d device %d: standalone (%v, %d), plain scan (%v, %d)",
-					trial, i, got, gotJ, best, bestJ)
+			d := Device{
+				ID:       fmt.Sprintf("op-%d", op),
+				Pos:      geom.UniformPoints(r, in.Field, 1)[0],
+				Demand:   50 + r.Float64()*300,
+				MoveRate: 0.005 + r.Float64()*0.02,
 			}
+			var err error
+			switch k := r.Intn(4); {
+			case k == 0:
+				d.Demand = maxDemand * (1 + r.Float64()*2)
+				err = cm.AddDevice(d)
+			case k == 1 && cm.NumDevices() > 1:
+				err = cm.RemoveDevice(r.Intn(cm.NumDevices()))
+			case k == 2:
+				i := r.Intn(cm.NumDevices())
+				if r.Intn(2) == 0 {
+					d.Pos, d.MoveRate = cm.Instance().Devices[i].Pos, cm.Instance().Devices[i].MoveRate
+				}
+				err = cm.UpdateDevice(i, d)
+			default:
+				j := r.Intn(m)
+				tariff := skipTestTariff(r)
+				if r.Intn(2) == 0 {
+					// Far cheaper than any tariff drawn at build time:
+					// the charger must win devices its old envelope
+					// would have ruled out.
+					tariff = pricing.PowerLaw{Coeff: 0.001 + r.Float64()*0.01, Exponent: 0.5}
+				}
+				err = cm.SetTariff(j, tariff)
+			}
+			if err != nil {
+				t.Fatalf("%s op %d: %v", tag, op, err)
+			}
+			requireStandaloneMatchesPlainScan(t, cm, fmt.Sprintf("%s op %d", tag, op))
 		}
 	}
 }

@@ -162,12 +162,13 @@ func (t *Tiered) Tiers() []Tier {
 // all checks pass. It is used by tests and by instance validation to catch
 // hand-rolled tariffs that would silently break CCSA's guarantees.
 //
-// The closed-form tariffs are first accepted analytically (see
-// concaveByForm); only a tariff that check does not accept is priced on
-// the grid. The analytic region lies inside the region the grid check
-// accepts, so the verdict and any error are exactly the grid check's.
+// The closed-form tariffs, and Unwrapper decorators of them, are first
+// accepted analytically (see concaveByForm); only a tariff that check
+// does not accept is priced on the grid. The analytic region lies inside
+// the region the grid check accepts, so the verdict and any error are
+// exactly the grid check's.
 func Validate(tariff Tariff, maxEnergy float64, samples int) error {
-	if samples >= 3 && concaveByForm(tariff, maxEnergy, samples) {
+	if samples >= 3 && concaveByForm(unwrap(tariff), maxEnergy, samples) {
 		return nil
 	}
 	return spotCheck(tariff, maxEnergy, samples)
