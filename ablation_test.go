@@ -3,7 +3,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/coalition"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/rng"
@@ -11,8 +10,8 @@ import (
 
 // Ablation benchmarks isolate the design choices DESIGN.md calls out:
 // the CCSA min-ratio oracle (exact SFM vs prefix heuristic), the CCSGA
-// sharing scheme (PDS vs ESS) and switch rule (selfish vs social), and
-// the tariff concavity that drives cooperation. Each reports solution
+// sharing scheme (PDS vs ESS), and the tariff concavity that drives
+// cooperation. Each reports solution
 // quality as cost/noncoop alongside ns/op.
 
 func ablationInstances(b *testing.B, n, m, count int, exponent float64) []*core.CostModel {
@@ -107,37 +106,6 @@ func BenchmarkAblationSharingScheme(b *testing.B) {
 			b.StopTimer()
 			reportQuality(b, cms, func(cm *core.CostModel) (*core.Schedule, error) {
 				r, err := core.CCSGA(cm, core.CCSGAOptions{Scheme: tc.scheme})
-				if err != nil {
-					return nil, err
-				}
-				return r.Schedule, nil
-			})
-		})
-	}
-}
-
-// BenchmarkAblationSwitchRule compares the paper's selfish switch rule
-// with the potential-guaranteed social rule.
-func BenchmarkAblationSwitchRule(b *testing.B) {
-	cms := ablationInstances(b, 40, 8, 6, 0)
-	for _, tc := range []struct {
-		name string
-		rule coalition.Rule
-	}{
-		{"Selfish", coalition.Selfish},
-		{"Social", coalition.Social},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, cm := range cms {
-					if _, err := core.CCSGA(cm, core.CCSGAOptions{Rule: tc.rule}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			reportQuality(b, cms, func(cm *core.CostModel) (*core.Schedule, error) {
-				r, err := core.CCSGA(cm, core.CCSGAOptions{Rule: tc.rule})
 				if err != nil {
 					return nil, err
 				}

@@ -262,9 +262,9 @@ type solveServer struct {
 	slowSolve       time.Duration
 	tick            time.Duration
 	noRepair        bool
-	log            *obs.EventLogger
-	met            serveMetrics
-	metricsOn      bool
+	log             *obs.EventLogger
+	met             serveMetrics
+	metricsOn       bool
 
 	// Shutdown machinery: closing flips once on SIGINT/SIGTERM, wg
 	// counts live serveConn goroutines, conns tracks their sockets so a

@@ -150,11 +150,11 @@ func TestServeShardInvalidInstanceSameError(t *testing.T) {
 	badTariff := serveInstance(24, 0)
 	badTariff.Chargers[1].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 2}
 	for name, in := range map[string]*core.Instance{
-		"negative demand":  negative,
-		"over capacity":    unreachable,
-		"convex tariff":    badTariff,
-		"no chargers":      {Field: negative.Field, Devices: serveInstance(24, 0).Devices},
-		"empty":            {Field: negative.Field},
+		"negative demand": negative,
+		"over capacity":   unreachable,
+		"convex tariff":   badTariff,
+		"no chargers":     {Field: negative.Field, Devices: serveInstance(24, 0).Devices},
+		"empty":           {Field: negative.Field},
 	} {
 		line := solveLine(t, in, "CCSGA")
 		for i := 0; i < 2; i++ {

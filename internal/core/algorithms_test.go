@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/coalition"
 )
 
 // bruteForceOptimal enumerates every partition of the devices (with the
@@ -243,23 +241,6 @@ func TestCCSGAESSSchemeRuns(t *testing.T) {
 	}
 	if err := res.Schedule.Validate(15, 4); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCCSGASocialRule(t *testing.T) {
-	r := rand.New(rand.NewSource(80))
-	in := randInstance(r, 15, 4)
-	cm := mustCostModel(t, in)
-	res, err := CCSGA(cm, CCSGAOptions{Rule: coalition.Social})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Error("social rule must converge (total cost is a potential)")
-	}
-	non := cm.TotalCost(Noncooperative(cm))
-	if got := cm.TotalCost(res.Schedule); got > non+1e-9 {
-		t.Errorf("social CCSGA %v worse than noncoop %v", got, non)
 	}
 }
 

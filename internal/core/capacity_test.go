@@ -299,7 +299,7 @@ func TestESSShareFullSlotInfeasible(t *testing.T) {
 	// 250 J); c and d go to the unlimited charger.
 	small, big := firstSlot[0], firstSlot[1]
 	game.reset([]int{small, small, big, big})
-	if sh := game.Share(2, small); !math.IsInf(sh, 1) {
+	if sh := game.share(2, small); !math.IsInf(sh, 1) {
 		t.Errorf("ESS share for joining a full slot = %v, want +Inf", sh)
 	}
 	// The same hypothetical join within capacity is finite.
@@ -310,12 +310,12 @@ func TestESSShareFullSlotInfeasible(t *testing.T) {
 		}
 	}
 	if spare >= 0 {
-		if sh := game.Share(2, spare); math.IsInf(sh, 1) {
+		if sh := game.share(2, spare); math.IsInf(sh, 1) {
 			t.Error("ESS share for a slot with room = +Inf, want finite")
 		}
 	}
 	// A member of the full slot prices its own (current) slot finitely.
-	if sh := game.Share(0, small); math.IsInf(sh, 1) {
+	if sh := game.share(0, small); math.IsInf(sh, 1) {
 		t.Errorf("ESS share for the current slot = %v, want finite", sh)
 	}
 

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-
-	"repro/internal/coalition"
 )
 
 // CCSGAOptions tunes the coalition-formation game algorithm.
@@ -16,17 +14,11 @@ type CCSGAOptions struct {
 	// under. Default PDS (whose cross-monotonic shares make the selfish
 	// dynamics converge).
 	Scheme SharingScheme
-	// Rule is the deviation rule. Default coalition.Selfish (the paper's
-	// device-utility switch operation).
-	Rule coalition.Rule
 	// Seed randomizes the per-pass visiting order when nonzero; zero
 	// keeps deterministic round-robin.
 	Seed int64
-	// MaxPasses caps full sweeps; zero uses the engine default.
+	// MaxPasses caps full sweeps; zero means 10·n + 100.
 	MaxPasses int
-	// Epsilon is the minimum strict improvement; zero uses the engine
-	// default.
-	Epsilon float64
 	// Init, when non-nil, seeds the switch dynamics with a device→slot
 	// assignment (typically a previous, related solve's equilibrium)
 	// instead of the noncooperative cold start. Slot indices follow
@@ -36,6 +28,19 @@ type CCSGAOptions struct {
 	// Nash equilibrium — possibly a different one than the cold start
 	// reaches.
 	Init []int
+}
+
+// switchEps is the minimum strict share improvement a switch operation
+// must bring, and the tolerance of the Nash verification.
+const switchEps = 1e-9
+
+// passCap is the sweep (or repair round) cap for n devices: maxPasses
+// when positive, else 10·n + 100.
+func passCap(maxPasses, n int) int {
+	if maxPasses > 0 {
+		return maxPasses
+	}
+	return 10*n + 100
 }
 
 // CCSGAResult carries the schedule plus game diagnostics.
@@ -71,93 +76,166 @@ type CCSGAResult struct {
 // standalone charger), packed greedily when capacities or travel budgets
 // bind — exactly WarmStart.Seed over an empty carrier.
 func CCSGA(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, error) {
-	res, game, _, err := ccsgaSolve(cm, opts, nil)
+	res, game, err := ccsgaSolve(cm, opts)
 	game.release()
 	return res, err
 }
 
-// ccsgaSolve is CCSGA plus the solver internals the repair path persists:
-// the charger game with its final aggregates and the converged device→slot
-// assignment. The game's cur array aliases the returned assignment state
-// after the run (coalition.Run mutates the game through Move), so a caller
-// adopting the game gets per-slot aggregates that already match assign.
-// view, when non-nil, is what the switch dynamics and the Nash check
-// play instead of the game itself (the differential tests hide the
-// game's shortcuts behind it); nil plays the game directly.
-func ccsgaSolve(cm *CostModel, opts CCSGAOptions, view func(*chargerGame) coalition.Game) (*CCSGAResult, *chargerGame, []int, error) {
+// ccsgaSolve is CCSGA plus the charger game the repair path persists:
+// after the run the game's cur array holds the converged device→slot
+// assignment and its per-slot aggregates match it.
+func ccsgaSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
+	g, err := seededGame(cm, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	switches, passes, converged := g.run(opts.Seed, opts.MaxPasses)
+	return &CCSGAResult{
+		Schedule:  g.schedule(),
+		Switches:  switches,
+		Passes:    passes,
+		Converged: converged,
+		// A converged run needs no separate Nash sweep: its final
+		// zero-switch pass ran the kernel for every device against every
+		// slot on an assignment that never changed during the pass.
+		NashStable: converged || g.isNash(),
+	}, g, nil
+}
+
+// seededGame builds the charger game for cm under opts.Scheme and seats
+// every device at opts.Init, or at the cold start when Init is nil.
+func seededGame(cm *CostModel, opts CCSGAOptions) (*chargerGame, error) {
 	if opts.Scheme == nil {
 		opts.Scheme = PDS{}
 	}
-	if opts.Rule == 0 {
-		opts.Rule = coalition.Selfish
-	}
-	game, err := newChargerGame(cm, opts.Scheme)
+	g, err := newChargerGame(cm, opts.Scheme)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	init := opts.Init
 	if init != nil {
-		err = game.validateInit(init)
+		err = g.validateInit(init)
 	} else {
-		init, err = seedSlots(cm, game.chargerOf, game.firstSlot, nil)
+		init, err = seedSlots(cm, g.chargerOf, g.firstSlot, nil)
 	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
+		g.release()
+		return nil, fmt.Errorf("ccsga: %w", err)
 	}
-	game.reset(init)
+	g.reset(init)
+	return g, nil
+}
 
-	var play coalition.Game = game
-	if view != nil {
-		play = view(game)
-	}
+// run plays full-pass switch dynamics from the installed assignment:
+// each pass visits every device (in index order, or in an order shuffled
+// per pass by seed when it is nonzero) and moves it to its best response,
+// until a pass moves nobody or the pass cap is hit.
+func (g *chargerGame) run(seed int64, maxPasses int) (switches, passes int, converged bool) {
+	n := len(g.cur)
 	var r *rand.Rand
-	if opts.Seed != 0 {
-		r = rand.New(rand.NewSource(opts.Seed))
+	if seed != 0 {
+		r = rand.New(rand.NewSource(seed))
 	}
-	res, err := coalition.Run(play, init, coalition.Options{
-		Rule:      opts.Rule,
-		MaxPasses: opts.MaxPasses,
-		Epsilon:   opts.Epsilon,
-		Rand:      r,
-	})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("ccsga: %w", err)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
+	for limit := passCap(maxPasses, n); passes < limit; {
+		passes++
+		if r != nil {
+			r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		moved := false
+		for _, i := range order {
+			cur := g.cur[i]
+			if s, _ := g.bestResponse(i, g.share(i, cur), g.allSlots, false); s >= 0 {
+				g.move(i, cur, s)
+				switches++
+				moved = true
+			}
+		}
+		if !moved {
+			return switches, passes, true
+		}
+	}
+	return switches, passes, false
+}
 
-	sched := game.schedule(res.Assignment)
-	// A converged Selfish run needs no separate Nash sweep: the final
-	// zero-switch pass evaluated every device against every slot on an
-	// assignment that never changed during the pass, which is exactly
-	// IsNash at the run's epsilon (and the run epsilon here is at least
-	// as strict as the 1e-9 verification threshold).
-	nash := res.Converged && opts.Rule == coalition.Selfish && opts.Epsilon <= 1e-9
-	if !nash {
-		nash = coalition.IsNash(play, res.Assignment, 1e-9)
+// bestResponse is the one switch rule of every CCSGA path — full passes,
+// repair rounds and the Nash check. Among the candidate slots it takes
+// the argmin over (share, slot index), so the choice does not depend on
+// the order slots are listed in, and returns it with its share only when
+// the share undercuts bar, device i's current share, by more than
+// switchEps; otherwise it returns -1.
+//
+// A slot is skipped unevaluated when its share bound cannot clear the bar
+// or exceeds the current candidate's share (so it can never be the
+// argmin); a skipped slot stays unstamped in the join memo, since the
+// bound says nothing about its share against a future, higher bar.
+//
+// A clean device (repair: its slot saw no delta) also skips slots whose
+// join share is still memoized. Memo invariant: a still-stamped share was
+// evaluated against a bar no larger than the device's current one (its
+// share only drops by moving to something strictly better, and only rises
+// through a full best response that re-judged every slot), so it cannot
+// clear the strict improvement test now. Other devices keep memoized
+// shares as argmin candidates because their bar may just have moved.
+func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) (int, float64) {
+	cur := g.cur[i]
+	bounds := g.shareBounds(i)
+	candS, candShare := -1, 0.0
+	for _, s := range slots {
+		if s == cur {
+			continue
+		}
+		sh, memoized := g.memoized(i, s)
+		if memoized && clean {
+			continue
+		}
+		if !memoized {
+			if bounds != nil && (bounds[s] >= bar-switchEps || (candS >= 0 && bounds[s] > candShare)) {
+				continue
+			}
+			sh = g.memoize(i, s)
+		}
+		if candS < 0 || sh < candShare || (sh == candShare && s < candS) {
+			candS, candShare = s, sh
+		}
 	}
-	return &CCSGAResult{
-		Schedule:   sched,
-		Switches:   res.Switches,
-		Passes:     res.Passes,
-		Converged:  res.Converged,
-		NashStable: nash,
-	}, game, res.Assignment, nil
+	if candS >= 0 && candShare < bar-switchEps {
+		return candS, candShare
+	}
+	return -1, 0
+}
+
+// isNash reports whether the installed assignment is a pure Nash
+// equilibrium: no device has a strictly improving switch.
+func (g *chargerGame) isNash() bool {
+	for i, cur := range g.cur {
+		if s, _ := g.bestResponse(i, g.share(i, cur), g.allSlots, false); s >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // assignmentSchedule converts a device→charger assignment into a
 // Schedule with one coalition per patronized charger.
 func assignmentSchedule(assign []int, numChargers int) *Schedule {
+	members := make([][]int, numChargers)
+	for i, j := range assign {
+		members[j] = append(members[j], i) // ascending: i iterates in order
+	}
 	s := &Schedule{}
-	for j, members := range coalition.Coalitions(assign, numChargers) {
-		if len(members) == 0 {
-			continue
+	for j, ms := range members {
+		if len(ms) > 0 {
+			s.Coalitions = append(s.Coalitions, Coalition{Charger: j, Members: ms})
 		}
-		sort.Ints(members)
-		s.Coalitions = append(s.Coalitions, Coalition{Charger: j, Members: members})
 	}
 	return s
 }
 
-// chargerGame implements coalition.SocialGame with O(1) share queries via
+// chargerGame is the CCSGA cost-sharing game, with O(1) share queries via
 // per-slot aggregates. A strategy is a session slot: exactly one per
 // charger without capacities; ⌈total purchase / capacity⌉ slots per
 // charger when a session capacity could force splitting.
@@ -176,7 +254,7 @@ func assignmentSchedule(assign []int, numChargers int) *Schedule {
 type chargerGame struct {
 	cm     *CostModel
 	scheme SharingScheme
-	// in is the instance behind cm, hoisted once at construction: Share,
+	// in is the instance behind cm, hoisted once at construction: share,
 	// join and leave sit on the innermost solver loop and must not pay a
 	// method call (and pointer chase) per evaluation. The pointer stays
 	// valid across CostModel delta ops, which mutate the Instance in
@@ -187,6 +265,9 @@ type chargerGame struct {
 	chargerOf []int
 	// firstSlot maps charger → its first slot index.
 	firstSlot []int
+	// allSlots lists every slot in index order: the candidate list of a
+	// full best response.
+	allSlots []int
 
 	cur []int // device -> slot; -1 = added but not yet seated (repair)
 	// Aggregates per slot over current members.
@@ -196,7 +277,7 @@ type chargerGame struct {
 	sigmaSum  []float64
 
 	// sigma memoizes each device's standalone cost at construction:
-	// Share's ESS branch needs it twice per evaluation and join/leave
+	// share's ESS branch needs it twice per evaluation and join/leave
 	// once each, and it never changes during a solve. A persisted game
 	// (RepairState) keeps it current through the mutation listener; under
 	// PDS the values only feed the (unused) sigmaSum aggregate, so a
@@ -214,7 +295,7 @@ type chargerGame struct {
 	slotMembers  [][]int
 	routeLen     []float64
 	tourScratch  []int     // planWith's reusable hypothetical member list
-	boundScratch []float64 // ShareBounds' per-slot row under capacities
+	boundScratch []float64 // shareBounds' per-slot row under capacities
 
 	pds bool // scheme is PDS (otherwise ESS semantics)
 
@@ -225,7 +306,7 @@ type chargerGame struct {
 	charge      []float64
 	chargeStamp []uint32
 	// memo caches hypothetical-join shares: memo.share[i*slots+s] is
-	// Share(i, s) computed while device i was outside slot s, valid while
+	// share(i, s) computed while device i was outside slot s, valid while
 	// memo.stamp[i*slots+s] == slotEpoch[s]. A matching stamp also
 	// certifies that i is still outside s, since its own join or leave
 	// would have bumped the epoch. Nil when n·slots exceeds maxJoinMemo.
@@ -264,11 +345,6 @@ func newJoinMemo(size int) *joinMemo {
 	clear(m.stamp)
 	return m
 }
-
-var (
-	_ coalition.SocialGame  = (*chargerGame)(nil)
-	_ coalition.BoundedGame = (*chargerGame)(nil)
-)
 
 // SessionSlots returns CCSGA's session-slot layout for the instance behind
 // cm: chargerOf maps each slot to its charger index, firstSlot maps each
@@ -315,6 +391,10 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 	}
 	g.chargerOf, g.firstSlot = SessionSlots(cm)
 	n := len(g.chargerOf)
+	g.allSlots = make([]int, n)
+	for s := range g.allSlots {
+		g.allSlots[s] = s
+	}
 	g.count = make([]int, n)
 	g.purchased = make([]float64, n)
 	g.moveSum = make([]float64, n)
@@ -358,7 +438,7 @@ func (g *chargerGame) release() {
 // and when it rebuilds the slot's sums.
 func (g *chargerGame) invalidate(s int) { g.slotEpoch[s]++ }
 
-// memoized returns the cached hypothetical-join Share(i, s) and whether
+// memoized returns the cached hypothetical-join share(i, s) and whether
 // its stamp is current.
 func (g *chargerGame) memoized(i, s int) (float64, bool) {
 	if g.memo == nil {
@@ -441,20 +521,13 @@ func (g *chargerGame) validateInit(init []int) error {
 	return nil
 }
 
-// schedule converts a device→slot assignment into a Schedule (one
-// coalition per occupied slot; same-charger sessions are merged only in
-// the uncapacitated case, where a slot per charger makes it a no-op).
-func (g *chargerGame) schedule(assign []int) *Schedule {
-	s := &Schedule{}
-	for slot, members := range coalition.Coalitions(assign, len(g.chargerOf)) {
-		if len(members) == 0 {
-			continue
-		}
-		sort.Ints(members)
-		s.Coalitions = append(s.Coalitions, Coalition{
-			Charger: g.chargerOf[slot],
-			Members: members,
-		})
+// schedule converts the installed device→slot assignment into a Schedule
+// with one coalition per occupied slot, in slot order.
+func (g *chargerGame) schedule() *Schedule {
+	s := assignmentSchedule(g.cur, len(g.chargerOf))
+	for k := range s.Coalitions {
+		c := &s.Coalitions[k]
+		c.Charger = g.chargerOf[c.Charger]
 	}
 	return s
 }
@@ -517,17 +590,11 @@ func (g *chargerGame) leave(i, s int) {
 	}
 }
 
-// NumAgents implements coalition.Game.
-func (g *chargerGame) NumAgents() int { return g.cm.NumDevices() }
-
-// NumStrategies implements coalition.Game.
-func (g *chargerGame) NumStrategies() int { return len(g.chargerOf) }
-
-// Share implements coalition.Game: device i's cost share if it joined
-// session slot s, holding everyone else fixed. Both cases read the
-// epoch-stamped caches (see the type comment); a miss computes exactly
-// what memberShare or joinShare computes.
-func (g *chargerGame) Share(i, s int) float64 {
+// share is device i's cost share if it joined session slot s, holding
+// everyone else fixed; for s = cur[i] it is i's current share. Both cases
+// read the epoch-stamped caches (see the type comment); a miss computes
+// exactly what memberShare or joinShare computes.
+func (g *chargerGame) share(i, s int) float64 {
 	if g.cur[i] == s {
 		if g.chargeStamp[s] != g.slotEpoch[s] {
 			g.charge[s], g.chargeStamp[s] = g.sessionCharge(s), g.slotEpoch[s]
@@ -550,15 +617,18 @@ func (g *chargerGame) memoize(i, s int) float64 {
 	return sh
 }
 
-// ShareBounds implements coalition.BoundedGame: device i's moving cost
-// to each slot's charger. Under PDS a share is the moving cost plus
+// shareBounds returns a slice indexed by slot whose entry s is never
+// larger than share(i, s) as computed in floating point, for every s other
+// than i's current slot; nil means no bound. The slice is read-only and
+// valid until the next call. The bound is device i's moving cost to each
+// slot's charger. Under PDS a share is the moving cost plus
 // charging·mine/purchased, and every factor of that product is
 // nonnegative (Fee ≥ 0, a nondecreasing tariff with Price(0) = 0, a
 // travel leg ≥ 0), so the product rounds to ≥ 0 and, IEEE addition being
 // monotone, the rounded sum to ≥ the moving cost. The bound thus holds
 // exactly in floating point, and a full slot's +Inf satisfies it
 // trivially. ESS shares subtract a surplus and have no such bound.
-func (g *chargerGame) ShareBounds(i int) []float64 {
+func (g *chargerGame) shareBounds(i int) []float64 {
 	if !g.pds {
 		return nil
 	}
@@ -638,15 +708,15 @@ func (g *chargerGame) joinShare(i, s int) float64 {
 	return g.sigma[i] - surplusPer
 }
 
-// Move implements coalition.Game.
-func (g *chargerGame) Move(i, from, to int) {
+// move commits device i's switch from its current slot from to slot to.
+func (g *chargerGame) move(i, from, to int) {
 	g.leave(i, from)
 	g.join(i, to)
 	g.cur[i] = to
 }
 
 // planWith returns the planned tour length of slot s's members with
-// device i hypothetically joined, reusing a scratch buffer so Share's
+// device i hypothetically joined, reusing a scratch buffer so share's
 // inner loop does not allocate the member list per evaluation.
 func (g *chargerGame) planWith(s, i int) float64 {
 	ms := g.slotMembers[s]
@@ -657,20 +727,4 @@ func (g *chargerGame) planWith(s, i int) float64 {
 	buf = append(buf, ms[at:]...)
 	g.tourScratch = buf
 	return g.cm.TourLength(buf, g.chargerOf[s])
-}
-
-// TotalCost implements coalition.SocialGame.
-func (g *chargerGame) TotalCost() float64 {
-	var total float64
-	for s, cnt := range g.count {
-		if cnt == 0 {
-			continue
-		}
-		ch := &g.in.Chargers[g.chargerOf[s]]
-		total += ch.Fee + ch.Tariff.Price(g.purchased[s]) + g.moveSum[s]
-		if g.mobility && ch.Mobile {
-			total += ch.MoveRate * g.routeLen[s]
-		}
-	}
-	return total
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,8 +64,9 @@ type RepairState struct {
 	fullReason    string
 	layoutSuspect bool
 
-	// enumReverse flips candidate-slot enumeration order; a test hook
-	// proving the argmin tie-break makes results enumeration-order-free.
+	// enumReverse reverses the candidate-slot lists repair hands the
+	// kernel; a test hook proving the argmin tie-break makes results
+	// enumeration-order-free.
 	enumReverse bool
 	// frontierFrac overrides maxFrontierFrac when nonzero; a test hook
 	// that lifts or floors the frontier cap.
@@ -232,28 +234,29 @@ func (rs *RepairState) solve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*
 // non-empty when this is a fallback from an attempted repair.
 func (rs *RepairState) full(opts CCSGAOptions, ws *WarmStart, reason string) (*CCSGAResult, error) {
 	rs.invalidate() // release the old game's memo for the new one to reuse
-	res, game, assign, err := warmSolve(rs.cm, opts, ws)
+	res, game, err := warmSolve(rs.cm, opts, ws)
 	if err != nil {
 		return nil, err
 	}
-	rs.prime(game, assign)
+	rs.prime(game)
 	res.FallbackReason = reason
 	return res, nil
 }
 
-// prime adopts a converged game — its aggregates and its share memo —
-// and the assignment as the repair baseline. Aggregates are rebuilt from
-// scratch (one ascending join sweep) so the floating-point baseline is
-// the same regardless of the switch history that reached the
-// equilibrium; the rebuild invalidates every slot, so no share cached
-// during the solve survives into the first repair.
-func (rs *RepairState) prime(g *chargerGame, assign []int) {
+// prime adopts a converged game — its assignment, aggregates and share
+// memo — as the repair baseline. Aggregates are rebuilt from scratch (one
+// ascending join sweep) so the floating-point baseline is the same
+// regardless of the switch history that reached the equilibrium; the
+// rebuild invalidates every slot, so no share cached during the solve
+// survives into the first repair.
+func (rs *RepairState) prime(g *chargerGame) {
 	rs.game = g
-	g.reset(assign)
-	if cap(rs.share) < len(assign) {
-		rs.share = make([]float64, len(assign))
+	g.reset(g.cur)
+	n := len(g.cur)
+	if cap(rs.share) < n {
+		rs.share = make([]float64, n)
 	}
-	rs.share = rs.share[:len(assign)]
+	rs.share = rs.share[:n]
 	rs.baselineFilled = false // per-device bars fill at the first repair
 	clear(rs.dirty)
 	rs.unseeded = 0
@@ -351,26 +354,19 @@ func (rs *RepairState) rebuildDirty(isDirty []bool) {
 // equilibrium. Rounds sweep the devices in ascending index order:
 // members of dirty slots best-respond against every slot, everyone else
 // is tested against the current dirty set only, with each accepted
-// switch dirtying its source and target slots for the next round. The
-// candidate choice is argmin (share, slot index), accepted only on a
-// strict > epsilon improvement, so the outcome does not depend on the
-// enumeration order of the dirty set. The terminating zero-move round is
-// the Nash verification: combined with the clean-slot invariant it
-// re-establishes IsNash over the full strategy space.
+// switch dirtying its source and target slots for the next round. Both
+// run the one kernel (bestResponse), whose argmin (share, slot index)
+// makes the outcome independent of the dirty set's enumeration order.
+// The terminating zero-move round is the Nash verification: combined
+// with the clean-slot invariant it re-establishes isNash over the full
+// strategy space.
 func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 	g, cm := rs.game, rs.cm
 	n := cm.NumDevices()
 	if n == 0 {
 		return nil, errors.New("ccsga repair: instance has no devices")
 	}
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 1e-9
-	}
-	maxRounds := opts.MaxPasses
-	if maxRounds == 0 {
-		maxRounds = 10*n + 100
-	}
+	maxRounds := passCap(opts.MaxPasses, n)
 	frac := rs.frontierFrac
 	if frac == 0 {
 		frac = maxFrontierFrac
@@ -399,7 +395,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		isDirty[s] = true
 		dirtyList = append(dirtyList, s)
 	}
-	sort.Ints(dirtyList)
+	rs.sortSlots(dirtyList)
 	rs.rebuildDirty(isDirty)
 	base := 0 // dirty-slot membership: a lower bound on the frontier
 	for _, s := range dirtyList {
@@ -421,12 +417,17 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		// theirs as frontier devices in the first round.
 		for i, s := range g.cur {
 			if !isDirty[s] {
-				rs.share[i] = g.Share(i, s)
+				rs.share[i] = g.share(i, s)
 			}
 		}
 		rs.baselineFilled = true
 	}
 
+	allSlots := g.allSlots
+	if rs.enumReverse {
+		allSlots = slices.Clone(allSlots)
+		slices.Reverse(allSlots)
+	}
 	inFrontier := make([]bool, n)
 	nextDirty := make([]bool, numSlots)
 	frontier, switches, rounds := 0, 0, 0
@@ -439,7 +440,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		for i := 0; i < n; i++ {
 			cur := g.cur[i]
 			full := isDirty[cur]
-			var curShare float64
+			curShare, slots := rs.share[i], dirtyList
 			if full {
 				if !inFrontier[i] {
 					inFrontier[i] = true
@@ -447,85 +448,30 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 						return nil, &fallbackError{fmt.Sprintf("repair frontier %d devices exceeds cap %d", frontier, maxFrontier)}
 					}
 				}
-				curShare = g.Share(i, cur)
-			} else {
-				curShare = rs.share[i]
+				curShare, slots = g.share(i, cur), allSlots
 			}
-			candS, candShare := -1, 0.0
-			bounds := g.ShareBounds(i)
-			consider := func(s int) {
-				if s == cur {
-					return
-				}
-				sh, memoized := g.memoized(i, s)
-				if memoized && !full {
-					// Memo invariant: a still-stamped share was evaluated
-					// against a bar no larger than this device's current
-					// one (its share only drops by moving to something
-					// strictly better, and only rises through a full
-					// best-response that re-judged every slot), so it
-					// cannot clear the strict improvement test now. Clean
-					// devices skip it; frontier members keep it as an
-					// argmin candidate because their bar just moved. (Only
-					// this repair's own stamps can match here: a clean
-					// device looks at dirty slots only, and every dirty
-					// slot was invalidated since the last repair.)
-					return
-				}
-				if !memoized {
-					// A slot whose share bound beats neither the bar nor
-					// the candidate can skip the evaluation. (Safe for the
-					// tie-break: a skipped slot's share strictly exceeds the
-					// candidate's, so it can never be the argmin. Skipped
-					// slots stay unstamped — the bound says nothing about
-					// their share against a future, higher bar.)
-					if bounds != nil && (bounds[s] >= curShare-eps || (candS >= 0 && bounds[s] > candShare)) {
-						return
-					}
-					sh = g.memoize(i, s)
-				}
-				if candS < 0 || sh < candShare || (sh == candShare && s < candS) {
-					candS, candShare = s, sh
-				}
-			}
-			if full {
-				if rs.enumReverse {
-					for s := numSlots - 1; s >= 0; s-- {
-						consider(s)
-					}
-				} else {
-					for s := 0; s < numSlots; s++ {
-						consider(s)
-					}
-				}
-			} else if rs.enumReverse {
-				for k := len(dirtyList) - 1; k >= 0; k-- {
-					consider(dirtyList[k])
-				}
-			} else {
-				for _, s := range dirtyList {
-					consider(s)
-				}
-			}
-			if candS >= 0 && candShare < curShare-eps {
-				g.Move(i, cur, candS)
+			// Only this repair's own memo stamps can match for a clean
+			// device: it looks at dirty slots only, and every dirty slot
+			// was invalidated since the last repair.
+			if s, sh := g.bestResponse(i, curShare, slots, !full); s >= 0 {
+				g.move(i, cur, s)
 				// The hypothetical-join share is computed from the same
 				// aggregate additions join just applied, so it is the
 				// post-move share bit-for-bit.
-				rs.share[i] = candShare
+				rs.share[i] = sh
 				rs.markUpdated(i)
 				switches++
-				for _, s := range [2]int{cur, candS} {
-					if !nextDirty[s] {
-						nextDirty[s] = true
-						next = append(next, s)
+				for _, t := range [2]int{cur, s} {
+					if !nextDirty[t] {
+						nextDirty[t] = true
+						next = append(next, t)
 					}
 				}
 			} else if full {
 				rs.share[i] = curShare
 			}
 		}
-		sort.Ints(next)
+		rs.sortSlots(next)
 		dirtyList = next
 		isDirty, nextDirty = nextDirty, isDirty
 		// The swap left nextDirty holding the previous round's flags.
@@ -533,7 +479,7 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 	}
 	clear(rs.dirty)
 	return &CCSGAResult{
-		Schedule:        g.schedule(g.cur),
+		Schedule:        g.schedule(),
 		Switches:        switches,
 		Passes:          rounds,
 		Converged:       true,
@@ -541,4 +487,13 @@ func (rs *RepairState) repair(opts CCSGAOptions) (*CCSGAResult, error) {
 		Repaired:        true,
 		FrontierDevices: frontier,
 	}, nil
+}
+
+// sortSlots orders a candidate-slot list ascending, or descending under
+// the enumReverse test hook.
+func (rs *RepairState) sortSlots(slots []int) {
+	sort.Ints(slots)
+	if rs.enumReverse {
+		slices.Reverse(slots)
+	}
 }

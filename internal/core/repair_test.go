@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/coalition"
 	"repro/internal/geom"
 	"repro/internal/pricing"
 )
@@ -41,7 +40,7 @@ func scheduleAssignment(cm *CostModel, s *Schedule) []int {
 
 // verifyRepairedNash rebuilds the charger game from a pristine cost
 // model and checks the repaired schedule is a pure Nash equilibrium with
-// the stock full sweep — no repair-path shortcuts involved.
+// the brute-force referee — no solver shortcuts involved.
 func verifyRepairedNash(t *testing.T, in *Instance, s *Schedule, tag string) {
 	t.Helper()
 	cm, err := NewCostModel(cloneInstance(in))
@@ -54,7 +53,7 @@ func verifyRepairedNash(t *testing.T, in *Instance, s *Schedule, tag string) {
 	}
 	assign := scheduleAssignment(cm, s)
 	g.reset(assign)
-	if !coalition.IsNash(g, assign, 1e-9) {
+	if !bruteForceNash(g) {
 		t.Errorf("%s: repaired schedule is not a pure Nash equilibrium", tag)
 	}
 }

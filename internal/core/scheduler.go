@@ -85,31 +85,31 @@ func (s CCSGAScheduler) ScheduleRepair(cm *CostModel, ws *WarmStart, rs *RepairS
 	if rs != nil {
 		return rs.solve(cm, s.Opts, ws)
 	}
-	res, game, _, err := warmSolve(cm, s.Opts, ws)
+	res, game, err := warmSolve(cm, s.Opts, ws)
 	game.release()
 	return res, err
 }
 
 // warmSolve is the one warm path behind ScheduleRepair: seed the
 // dynamics from ws when it is non-nil, solve, and record the new
-// equilibrium back into ws. It returns the converged game and assignment
-// so a RepairState can adopt them.
-func warmSolve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*CCSGAResult, *chargerGame, []int, error) {
+// equilibrium back into ws. It returns the converged game so a
+// RepairState can adopt it.
+func warmSolve(cm *CostModel, opts CCSGAOptions, ws *WarmStart) (*CCSGAResult, *chargerGame, error) {
 	if ws != nil {
 		init, err := ws.Seed(cm)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		opts.Init = init
 	}
-	res, game, assign, err := ccsgaSolve(cm, opts, nil)
+	res, game, err := ccsgaSolve(cm, opts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if ws != nil {
 		ws.Record(cm.Instance(), res.Schedule)
 	}
-	return res, game, assign, nil
+	return res, game, nil
 }
 
 // OptimalScheduler wraps Optimal; it fails on instances larger than

@@ -8,29 +8,93 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/coalition"
 	"repro/internal/geom"
 	"repro/internal/pricing"
 )
 
-// plainGame plays a chargerGame with every shortcut hidden: it does not
-// implement coalition.BoundedGame, so the engine evaluates every slot,
-// and its Share is the pre-memo evaluation (referenceShare), which reads
-// no cache. Moves still go through the game, so its aggregates evolve
-// exactly as on the fast path.
-type plainGame struct{ g *chargerGame }
-
-func (p plainGame) NumAgents() int       { return p.g.NumAgents() }
-func (p plainGame) NumStrategies() int   { return p.g.NumStrategies() }
-func (p plainGame) Move(i, from, to int) { p.g.Move(i, from, to) }
-func (p plainGame) TotalCost() float64   { return p.g.TotalCost() }
-func (p plainGame) Share(i, s int) float64 {
-	return referenceShare(p.g, i, s)
+// plainSolve is the plain-path referee for ccsgaSolve: the same seeded
+// game, played by plainRun, with the Nash verdict of bruteForceNash.
+func plainSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
+	g, err := seededGame(cm, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &CCSGAResult{}
+	res.Switches, res.Passes, res.Converged = plainRun(g, opts.Seed, opts.MaxPasses)
+	res.Schedule = g.schedule()
+	res.NashStable = res.Converged || bruteForceNash(g)
+	return res, g, nil
 }
 
-func plainView(g *chargerGame) coalition.Game { return plainGame{g} }
+// plainRun is the reference for chargerGame.run: the same switch rule —
+// argmin over (share, slot index), accepted only on a strict switchEps
+// improvement — played in full passes with every share from
+// referenceShare, so no share bound and no memo is involved. Moves still
+// go through the game, so its aggregates evolve exactly as on the fast
+// path.
+func plainRun(g *chargerGame, seed int64, maxPasses int) (switches, passes int, converged bool) {
+	n := len(g.cur)
+	var r *rand.Rand
+	if seed != 0 {
+		r = rand.New(rand.NewSource(seed))
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	for limit := passCap(maxPasses, n); passes < limit && !converged; {
+		passes++
+		if r != nil {
+			r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		}
+		converged = true
+		for _, i := range order {
+			if s := plainBestResponse(g, i); s >= 0 {
+				g.move(i, g.cur[i], s)
+				switches++
+				converged = false
+			}
+		}
+	}
+	return switches, passes, converged
+}
 
-// referenceShare is chargerGame.Share as it was before the share memo:
+// plainBestResponse is bestResponse over every slot with every share
+// recomputed: the lowest-share slot (lowest index among equal shares) if
+// it undercuts device i's current share by more than switchEps, else -1.
+func plainBestResponse(g *chargerGame, i int) int {
+	cur := g.cur[i]
+	best, bestShare := -1, 0.0
+	for s := range g.chargerOf {
+		if s == cur {
+			continue
+		}
+		if sh := referenceShare(g, i, s); best < 0 || sh < bestShare {
+			best, bestShare = s, sh
+		}
+	}
+	if best >= 0 && bestShare < referenceShare(g, i, cur)-switchEps {
+		return best
+	}
+	return -1
+}
+
+// bruteForceNash is the independent Nash referee: it reports whether no
+// device of g's installed assignment can lower its referenceShare by
+// more than switchEps with any unilateral switch.
+func bruteForceNash(g *chargerGame) bool {
+	for i, cur := range g.cur {
+		bar := referenceShare(g, i, cur) - switchEps
+		for s := range g.chargerOf {
+			if s != cur && referenceShare(g, i, s) < bar {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// referenceShare is chargerGame.share as it was before the share memo:
 // every call recomputes the share from the slot aggregates.
 func referenceShare(g *chargerGame, i, s int) float64 {
 	j := g.chargerOf[s]
@@ -95,20 +159,26 @@ func withCountingTariffs(in *Instance) (*Instance, *int) {
 
 // solveBothPaths solves in on the fast path and on the plain path, each
 // over its own cost model, and returns both outcomes with the tariff
-// prices each solve evaluated (model construction excluded).
+// prices each solve evaluated (model construction excluded). Each
+// outcome's Nash verdict must match the brute-force referee's.
 func solveBothPaths(t *testing.T, in *Instance, opts CCSGAOptions) (fast, plain ccsgaOutcome) {
 	t.Helper()
-	run := func(view func(*chargerGame) coalition.Game) ccsgaOutcome {
+	run := func(solve func(*CostModel, CCSGAOptions) (*CCSGAResult, *chargerGame, error)) ccsgaOutcome {
 		cp, calls := withCountingTariffs(in)
 		cm := mustCostModel(t, cp)
 		*calls = 0
-		res, _, assign, err := ccsgaSolve(cm, opts, view)
+		res, g, err := solve(cm, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ccsgaOutcome{res: res, assign: assign, prices: *calls}
+		prices := *calls
+		g.release()
+		if nash := bruteForceNash(g); res.NashStable != nash {
+			t.Fatalf("NashStable = %v, brute-force referee says %v", res.NashStable, nash)
+		}
+		return ccsgaOutcome{res: res, assign: g.cur, prices: prices}
 	}
-	return run(nil), run(plainView)
+	return run(ccsgaSolve), run(plainSolve)
 }
 
 type ccsgaOutcome struct {
@@ -139,10 +209,11 @@ func sameOutcome(a, b ccsgaOutcome) string {
 // TestShareMemoMatchesPlainPath is the differential referee for the
 // share memo and the moving-cost bound: on seeded instances covering
 // both sharing schemes, session capacities, mobile chargers with travel
-// budgets, randomized visiting orders, warm seeds, the Social rule and
-// pass-capped runs, the fast path must reproduce the plain path's
-// assignment, pass and switch counts, convergence and Nash verdict
-// exactly — and never evaluate more tariff prices.
+// budgets, randomized visiting orders, warm seeds and pass-capped runs,
+// the fast path must reproduce the plain path's assignment, pass and
+// switch counts, convergence and Nash verdict exactly — and never
+// evaluate more tariff prices. Both Nash verdicts must also match the
+// brute-force referee, pass-capped runs included.
 func TestShareMemoMatchesPlainPath(t *testing.T) {
 	r := rand.New(rand.NewSource(1414))
 	var fastPrices, plainPrices int
@@ -167,11 +238,8 @@ func TestShareMemoMatchesPlainPath(t *testing.T) {
 		if trial%5 == 2 {
 			opts.Seed = int64(trial) + 1
 		}
-		switch trial % 8 {
-		case 5:
+		if trial%8 == 5 {
 			opts.MaxPasses = 1
-		case 7:
-			opts.Rule = coalition.Social
 		}
 		if kind == 3 {
 			// Warm seed: the equilibrium of a perturbed predecessor.
@@ -189,8 +257,8 @@ func TestShareMemoMatchesPlainPath(t *testing.T) {
 			}
 			opts.Init = init
 		}
-		tag := fmt.Sprintf("trial %d (n=%d m=%d kind=%d scheme=%v seed=%d rule=%v passes=%d)",
-			trial, len(in.Devices), m, kind, opts.Scheme, opts.Seed, opts.Rule, opts.MaxPasses)
+		tag := fmt.Sprintf("trial %d (n=%d m=%d kind=%d scheme=%v seed=%d passes=%d)",
+			trial, len(in.Devices), m, kind, opts.Scheme, opts.Seed, opts.MaxPasses)
 		fast, plain := solveBothPaths(t, in, opts)
 		if d := sameOutcome(fast, plain); d != "" {
 			t.Fatalf("%s: fast path diverged from plain path: %s", tag, d)
@@ -413,20 +481,20 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 		}
 		g.reset(init)
 		i, k := 0, 1
-		s := (g.cur[i] + 1) % g.NumStrategies()
+		s := (g.cur[i] + 1) % len(g.chargerOf)
 		priced := func(f func() float64) (float64, int) {
 			*calls = 0
 			v := f()
 			return v, *calls
 		}
-		join := func() float64 { return g.Share(i, s) }
+		join := func() float64 { return g.share(i, s) }
 		if _, n := priced(join); n != 1 {
 			t.Fatalf("%s: first join share priced %d tariffs, want 1", scheme.Name(), n)
 		}
 		if _, n := priced(join); n != 0 {
 			t.Errorf("%s: repeated join share priced %d tariffs, want 0 (memo hit)", scheme.Name(), n)
 		}
-		own := func() float64 { return g.Share(k, g.cur[k]) }
+		own := func() float64 { return g.share(k, g.cur[k]) }
 		priced(own)
 		if _, n := priced(own); n != 0 {
 			t.Errorf("%s: repeated own-slot share priced %d tariffs, want 0 (session-term hit)", scheme.Name(), n)
@@ -434,7 +502,7 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 		if g.cur[k] == s {
 			k = 2
 		}
-		g.Move(k, g.cur[k], s)
+		g.move(k, g.cur[k], s)
 		got, n := priced(join)
 		if n != 1 {
 			t.Errorf("%s: join share after a move into the slot priced %d tariffs, want 1", scheme.Name(), n)
@@ -445,7 +513,7 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 	}
 }
 
-// requireMemoExact asserts the memo invariant directly: every Share the
+// requireMemoExact asserts the memo invariant directly: every share the
 // game would answer from its caches equals the plain evaluation bit for
 // bit.
 func requireMemoExact(t *testing.T, g *chargerGame, tag string) {
@@ -454,10 +522,10 @@ func requireMemoExact(t *testing.T, g *chargerGame, tag string) {
 		if g.cur[i] < 0 {
 			continue // added by a delta, seated at the next repair
 		}
-		for s := 0; s < g.NumStrategies(); s++ {
+		for s := 0; s < len(g.chargerOf); s++ {
 			want := referenceShare(g, i, s)
-			if got := g.Share(i, s); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: Share(%d, %d) = %v from the caches, plain evaluation %v", tag, i, s, got, want)
+			if got := g.share(i, s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: share(%d, %d) = %v from the caches, plain evaluation %v", tag, i, s, got, want)
 			}
 		}
 	}
@@ -506,9 +574,9 @@ func TestShareMemoExactAcrossLifecycle(t *testing.T) {
 		g.reset(init)
 		for step := 0; step < 60; step++ {
 			requireMemoExact(t, g, fmt.Sprintf("move %d", step))
-			i, to := r.Intn(cm.NumDevices()), r.Intn(g.NumStrategies())
+			i, to := r.Intn(cm.NumDevices()), r.Intn(len(g.chargerOf))
 			if from := g.cur[i]; from != to {
-				g.Move(i, from, to)
+				g.move(i, from, to)
 			}
 		}
 		g.reset(append([]int(nil), g.cur...))

@@ -94,7 +94,7 @@ func TestByteCacheEvictionOrder(t *testing.T) {
 	c.Put(k("a"), []byte("A"))
 	c.Put(k("b"), []byte("B"))
 	c.Put(k("c"), []byte("C")) // LRU order now a < b < c
-	if !present("a") {        // touch a: order now b < c < a
+	if !present("a") {         // touch a: order now b < c < a
 		t.Fatal("a missing before any eviction")
 	}
 	c.Put(k("d"), []byte("D")) // must evict b

@@ -44,18 +44,20 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 	// Every solve-relevant field must perturb the digest.
 	mutations := map[string]func(*core.Instance){
-		"field":          func(in *core.Instance) { in.Field.MaxX = 999 },
-		"device ID":      func(in *core.Instance) { in.Devices[1].ID = "dX" },
-		"device pos":     func(in *core.Instance) { in.Devices[1].Pos.X += 1e-9 },
-		"device demand":  func(in *core.Instance) { in.Devices[0].Demand = math.Nextafter(in.Devices[0].Demand, 1e9) },
-		"device rate":    func(in *core.Instance) { in.Devices[2].MoveRate *= 2 },
-		"device order":   func(in *core.Instance) { in.Devices[0], in.Devices[1] = in.Devices[1], in.Devices[0] },
-		"charger fee":    func(in *core.Instance) { in.Chargers[0].Fee++ },
-		"charger eff":    func(in *core.Instance) { in.Chargers[1].Efficiency = 0.9 },
-		"charger cap":    func(in *core.Instance) { in.Chargers[0].Capacity = 500 },
-		"tariff kind":    func(in *core.Instance) { in.Chargers[0].Tariff = pricing.Linear{Rate: 0.3} },
-		"tariff params":  func(in *core.Instance) { in.Chargers[0].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 0.91} },
-		"tiered tariff":  func(in *core.Instance) { in.Chargers[0].Tariff = pricing.MustTiered([]pricing.Tier{{UpTo: 100, Rate: 0.3}, {UpTo: math.Inf(1), Rate: 0.2}}) },
+		"field":         func(in *core.Instance) { in.Field.MaxX = 999 },
+		"device ID":     func(in *core.Instance) { in.Devices[1].ID = "dX" },
+		"device pos":    func(in *core.Instance) { in.Devices[1].Pos.X += 1e-9 },
+		"device demand": func(in *core.Instance) { in.Devices[0].Demand = math.Nextafter(in.Devices[0].Demand, 1e9) },
+		"device rate":   func(in *core.Instance) { in.Devices[2].MoveRate *= 2 },
+		"device order":  func(in *core.Instance) { in.Devices[0], in.Devices[1] = in.Devices[1], in.Devices[0] },
+		"charger fee":   func(in *core.Instance) { in.Chargers[0].Fee++ },
+		"charger eff":   func(in *core.Instance) { in.Chargers[1].Efficiency = 0.9 },
+		"charger cap":   func(in *core.Instance) { in.Chargers[0].Capacity = 500 },
+		"tariff kind":   func(in *core.Instance) { in.Chargers[0].Tariff = pricing.Linear{Rate: 0.3} },
+		"tariff params": func(in *core.Instance) { in.Chargers[0].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 0.91} },
+		"tiered tariff": func(in *core.Instance) {
+			in.Chargers[0].Tariff = pricing.MustTiered([]pricing.Tier{{UpTo: 100, Rate: 0.3}, {UpTo: math.Inf(1), Rate: 0.2}})
+		},
 		"drop a device":  func(in *core.Instance) { in.Devices = in.Devices[:2] },
 		"drop a charger": func(in *core.Instance) { in.Chargers = in.Chargers[:1] },
 	}

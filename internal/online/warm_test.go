@@ -148,7 +148,7 @@ func TestPinnedMetricsUnchanged(t *testing.T) {
 // latest deadline among the devices still waiting.
 func TestFlushDeadline(t *testing.T) {
 	waiting := []Arrival{
-		{At: 0, Deadline: 900},  // earliest arrival, latest deadline
+		{At: 0, Deadline: 900}, // earliest arrival, latest deadline
 		{At: 10, Deadline: 400},
 		{At: 20, Deadline: 250}, // last arrival, NOT the flush time
 	}

@@ -96,9 +96,9 @@ func TestBoundaryDeviceOnCellEdge(t *testing.T) {
 // reconciled into exactly one.
 func TestBoundaryReachSpansThreeCells(t *testing.T) {
 	chargers := []core.Charger{
-		fixCharger("nw", 50, 50),   // cell 0
-		fixCharger("ne", 150, 50),  // cell 1
-		fixCharger("sw", 50, 150),  // cell 3
+		fixCharger("nw", 50, 50),  // cell 0
+		fixCharger("ne", 150, 50), // cell 1
+		fixCharger("sw", 50, 150), // cell 3
 	}
 	// (100,100) is the corner where cells 0, 1, 3 and 4 meet; its floor
 	// cell is 4, which holds no charger, so every assignment comes from

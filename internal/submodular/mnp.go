@@ -107,19 +107,19 @@ func extremePoint(g func(Set) float64, order []int) []float64 {
 // performs no per-iteration allocations. Extreme points live in pooled
 // rows recycled through take/release as the active set grows and shrinks.
 type workspace struct {
-	n       int
-	order   []int       // element ordering scratch (minVertex, recovery)
-	x       []float64   // current iterate
-	y       []float64   // affine minimizer point
-	lam     []float64   // affine coefficients
-	wts     []float64   // convex weights of the active set
-	pts     [][]float64 // active extreme points (pooled rows)
-	free    [][]float64 // row pool
-	dropped [][]float64 // rows dropped by the current minor-cycle filter
-	gram    [][]float64 // KKT system rows (backed by gramBack)
+	n        int
+	order    []int       // element ordering scratch (minVertex, recovery)
+	x        []float64   // current iterate
+	y        []float64   // affine minimizer point
+	lam      []float64   // affine coefficients
+	wts      []float64   // convex weights of the active set
+	pts      [][]float64 // active extreme points (pooled rows)
+	free     [][]float64 // row pool
+	dropped  [][]float64 // rows dropped by the current minor-cycle filter
+	gram     [][]float64 // KKT system rows (backed by gramBack)
 	gramBack []float64
-	rhs     []float64
-	lin     linalg.Workspace
+	rhs      []float64
+	lin      linalg.Workspace
 }
 
 func newWorkspace(n int) *workspace {
