@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+
+	"repro/internal/pricing"
 )
 
 // CCSGAOptions tunes the coalition-formation game algorithm.
@@ -168,33 +170,50 @@ func (g *chargerGame) run(seed int64, maxPasses int) (switches, passes int, conv
 // the share undercuts bar, device i's current share, by more than
 // switchEps; otherwise it returns -1.
 //
-// A slot is skipped unevaluated when its share bound cannot clear the bar
-// or exceeds the current candidate's share (so it can never be the
-// argmin); a skipped slot stays unstamped in the join memo, since the
-// bound says nothing about its share against a future, higher bar.
+// A slot is skipped unevaluated when a lower bound on its share cannot
+// clear the bar or exceeds the current candidate's share (so it can never
+// be the argmin). Under PDS there are two exact bounds: the moving cost
+// (shareBounds), and for a chord-bearing charger the chord bound
+// (chordBound), which costs more and so runs second. A slot the chord
+// rules out is stamped in the join memo as a bound entry: a later full
+// best response re-tests its value against its own bar, and share never
+// returns it.
 //
 // A clean device (repair: its slot saw no delta) also skips slots whose
-// join share is still memoized. Memo invariant: a still-stamped share was
-// evaluated against a bar no larger than the device's current one (its
-// share only drops by moving to something strictly better, and only rises
-// through a full best response that re-judged every slot), so it cannot
-// clear the strict improvement test now. Other devices keep memoized
-// shares as argmin candidates because their bar may just have moved.
+// join share is still memoized, exact or bound. Memo invariant: a
+// still-stamped entry was judged against a bar no larger than the
+// device's current one (its share only drops by moving to something
+// strictly better, and only rises through a full best response that
+// re-judged every slot), so the share behind it cannot clear the strict
+// improvement test now. Other devices keep memoized shares as argmin
+// candidates because their bar may just have moved.
 func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) (int, float64) {
 	cur := g.cur[i]
 	bounds := g.shareBounds(i)
+	limit := bar - switchEps
 	candS, candShare := -1, 0.0
 	for _, s := range slots {
 		if s == cur {
 			continue
 		}
-		sh, memoized := g.memoized(i, s)
-		if memoized && clean {
+		sh, st := g.memoized(i, s)
+		switch {
+		case st != memoMiss && clean:
 			continue
-		}
-		if !memoized {
-			if bounds != nil && (bounds[s] >= bar-switchEps || (candS >= 0 && bounds[s] > candShare)) {
+		case st == memoBound:
+			if outranked(sh, limit, candS, candShare) {
 				continue
+			}
+			sh = g.memoize(i, s)
+		case st == memoMiss:
+			if bounds != nil {
+				if outranked(bounds[s], limit, candS, candShare) {
+					continue
+				}
+				if lb, ok := g.chordBound(i, s); ok && outranked(lb, limit, candS, candShare) {
+					g.stampBound(i, s, lb)
+					continue
+				}
 			}
 			sh = g.memoize(i, s)
 		}
@@ -202,10 +221,17 @@ func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) 
 			candS, candShare = s, sh
 		}
 	}
-	if candS >= 0 && candShare < bar-switchEps {
+	if candS >= 0 && candShare < limit {
 		return candS, candShare
 	}
 	return -1, 0
+}
+
+// outranked reports whether a slot whose share is at least lb can be
+// skipped: its share cannot get under limit, the bar less switchEps, or
+// it exceeds the current candidate's share.
+func outranked(lb, limit float64, candS int, candShare float64) bool {
+	return lb >= limit || (candS >= 0 && lb > candShare)
 }
 
 // isNash reports whether the installed assignment is a pure Nash
@@ -242,15 +268,16 @@ func assignmentSchedule(assign []int, numChargers int) *Schedule {
 //
 // Shares are memoized under one epoch invariant that every path playing
 // the game shares — cold, warm, repair and shard-cell solves alike.
-// slotEpoch[s] starts at 1 and bumps whenever slot s's aggregates or its
-// charger's tariff can have changed: on every join and leave, on reset,
-// and whenever the repair path invalidates the slot (a delta event
-// touched it, or it rebuilds the slot's sums). A cached value whose
-// stamp equals its slot's epoch was computed from the same inputs a
+// slotEpoch[s] is even: it starts at 2 and steps by 2 whenever slot s's
+// aggregates or its charger's tariff can have changed: on every join and
+// leave, on reset, and whenever the repair path invalidates the slot (a
+// delta event touched it, or it rebuilds the slot's sums). A cached value
+// whose stamp equals its slot's epoch was computed from the same inputs a
 // recomputation would read — the slot's aggregates, its charger, and the
 // device's own parameters (the repair path drops a device's row when
-// they change) — so it is bit-identical to recomputing it. Stamp 0 is
-// never valid.
+// they change) — so it is bit-identical to recomputing it. A join-memo
+// stamp of epoch+1 marks a bound entry: its value is only a lower bound
+// on the share, computed from those same inputs. Stamp 0 is never valid.
 type chargerGame struct {
 	cm     *CostModel
 	scheme SharingScheme
@@ -300,18 +327,35 @@ type chargerGame struct {
 	pds bool // scheme is PDS (otherwise ESS semantics)
 
 	slotEpoch []uint32 // per slot; see the type comment
-	// charge[s] caches slot s's session term at its current membership
-	// (sessionCharge), valid while chargeStamp[s] == slotEpoch[s]; every
+	// term[s] caches slot s's session term at its current membership, and
+	// its chord, valid while term[s].stamp == slotEpoch[s]; every
 	// member's share of its own slot reads it.
-	charge      []float64
-	chargeStamp []uint32
+	term []sessionTerm
+	// chord[j] is the right end of charger j's chords; chordDemand is the
+	// total demand, with headroom, they were sized for.
+	chord       []chordEnd
+	chordDemand float64
 	// memo caches hypothetical-join shares: memo.share[i*slots+s] is
 	// share(i, s) computed while device i was outside slot s, valid while
-	// memo.stamp[i*slots+s] == slotEpoch[s]. A matching stamp also
-	// certifies that i is still outside s, since its own join or leave
-	// would have bumped the epoch. Nil when n·slots exceeds maxJoinMemo.
+	// memo.stamp[i*slots+s] == slotEpoch[s], or a lower bound on it while
+	// the stamp is slotEpoch[s]+1. A matching stamp also certifies that i
+	// is still outside s, since its own join or leave would have bumped
+	// the epoch. Nil when n·slots exceeds maxJoinMemo.
 	memo *joinMemo
 }
+
+// sessionTerm is a slot's cached session term and chord slope.
+type sessionTerm struct {
+	charge float64 // fee + tariff over the purchase (+ travel leg)
+	slope  float64 // of the tariff's chord from the purchase to x
+	x      float64 // the chord end slope was built with; < 0: no chord
+	stamp  uint32
+}
+
+// chordEnd is a charger's chord right end x, an energy above every join
+// purchase when it was sized, and its price px; x == 0 means the charger
+// gets no chord (see chordBound).
+type chordEnd struct{ x, px float64 }
 
 // joinMemo is the n×slots table of hypothetical-join shares. A game
 // discarded after its solve returns its table to memoPool, so
@@ -411,10 +455,11 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 	}
 	g.slotEpoch = make([]uint32, n)
 	for s := range g.slotEpoch {
-		g.slotEpoch[s] = 1
+		g.slotEpoch[s] = 2
 	}
-	g.charge = make([]float64, n)
-	g.chargeStamp = make([]uint32, n)
+	g.term = make([]sessionTerm, n)
+	g.chord = make([]chordEnd, len(g.in.Chargers))
+	g.sizeChords()
 	if size := cm.NumDevices() * n; size <= maxJoinMemo {
 		g.memo = newJoinMemo(size)
 	}
@@ -435,22 +480,39 @@ func (g *chargerGame) release() {
 
 // invalidate makes every cached share of slot s stale. join, leave and
 // reset call it; the repair path calls it when a delta touches the slot
-// and when it rebuilds the slot's sums.
-func (g *chargerGame) invalidate(s int) { g.slotEpoch[s]++ }
+// and when it rebuilds the slot's sums. Epochs stay even, so the odd
+// stamps of bound entries never match one.
+func (g *chargerGame) invalidate(s int) { g.slotEpoch[s] += 2 }
 
-// memoized returns the cached hypothetical-join share(i, s) and whether
-// its stamp is current.
-func (g *chargerGame) memoized(i, s int) (float64, bool) {
+// memoState classifies a join-memo entry against its slot's epoch.
+type memoState uint8
+
+const (
+	memoMiss  memoState = iota // stale or never written
+	memoExact                  // the share, bit-identical to recomputing it
+	memoBound                  // a lower bound on the share
+)
+
+// memoized returns the cached entry for device i joining slot s and
+// whether it is current, and if so exact or only a bound.
+func (g *chargerGame) memoized(i, s int) (float64, memoState) {
 	if g.memo == nil {
-		return 0, false
+		return 0, memoMiss
 	}
 	k := i*len(g.chargerOf) + s
-	return g.memo.share[k], g.memo.stamp[k] == g.slotEpoch[s]
+	switch g.memo.stamp[k] {
+	case g.slotEpoch[s]:
+		return g.memo.share[k], memoExact
+	case g.slotEpoch[s] + 1:
+		return g.memo.share[k], memoBound
+	}
+	return 0, memoMiss
 }
 
 // deviceAdded grows the per-device state by one unseated device (the
 // repair path seats it later); its memo row starts all-invalid.
 func (g *chargerGame) deviceAdded() {
+	g.sizeChords()
 	g.cur = append(g.cur, -1)
 	g.sigma = append(g.sigma, 0) // set when the device is seated
 	if m := g.memo; m != nil {
@@ -473,6 +535,7 @@ func (g *chargerGame) deviceRemoved(i int) {
 // deviceUpdated refreshes device i's standalone cost and drops its memo
 // row: the device's own parameters entered every share cached for it.
 func (g *chargerGame) deviceUpdated(i int) {
+	g.sizeChords()
 	g.sigma[i], _ = g.cm.StandaloneCost(i)
 	if m, w := g.memo, len(g.chargerOf); m != nil {
 		clear(m.stamp[i*w : (i+1)*w])
@@ -596,12 +659,12 @@ func (g *chargerGame) leave(i, s int) {
 // exactly what memberShare or joinShare computes.
 func (g *chargerGame) share(i, s int) float64 {
 	if g.cur[i] == s {
-		if g.chargeStamp[s] != g.slotEpoch[s] {
-			g.charge[s], g.chargeStamp[s] = g.sessionCharge(s), g.slotEpoch[s]
+		if g.term[s].stamp != g.slotEpoch[s] {
+			g.refreshCharge(s)
 		}
-		return g.memberShare(i, s, g.charge[s])
+		return g.memberShare(i, s, g.term[s].charge)
 	}
-	if sh, ok := g.memoized(i, s); ok {
+	if sh, st := g.memoized(i, s); st == memoExact {
 		return sh
 	}
 	return g.memoize(i, s)
@@ -615,6 +678,15 @@ func (g *chargerGame) memoize(i, s int) float64 {
 		m.share[k], m.stamp[k] = sh, g.slotEpoch[s]
 	}
 	return sh
+}
+
+// stampBound caches lb, a lower bound on device i's join share of slot
+// s, as a bound entry.
+func (g *chargerGame) stampBound(i, s int, lb float64) {
+	if m := g.memo; m != nil {
+		k := i*len(g.chargerOf) + s
+		m.share[k], m.stamp[k] = lb, g.slotEpoch[s]+1
+	}
 }
 
 // shareBounds returns a slice indexed by slot whose entry s is never
@@ -648,16 +720,123 @@ func (g *chargerGame) slotBounds(i int) []float64 {
 	return buf
 }
 
-// sessionCharge is slot s's session-level term at its current
-// membership: fee plus tariff over the purchase, plus the travel leg of
-// a mobile charger's planned tour. Both schemes split it among members.
-func (g *chargerGame) sessionCharge(s int) float64 {
-	ch := &g.in.Chargers[g.chargerOf[s]]
-	charging := ch.Fee + ch.Tariff.Price(g.purchased[s])
+// refreshCharge recomputes slot s's session-level term at its current
+// membership — fee plus tariff over the purchase, plus the travel leg of
+// a mobile charger's planned tour; both schemes split it among members —
+// and the slot's chord slope, and stamps both with the slot's epoch.
+func (g *chargerGame) refreshCharge(s int) {
+	j := g.chargerOf[s]
+	ch := &g.in.Chargers[j]
+	p := g.purchased[s]
+	price := ch.Tariff.Price(p)
+	charging := ch.Fee + price
 	if g.mobility && ch.Mobile {
 		charging += ch.MoveRate * g.routeLen[s]
 	}
-	return charging
+	t := sessionTerm{charge: charging, x: -1, stamp: g.slotEpoch[s]}
+	// An emptied slot's running sum can land a few ulps below 0, where
+	// Price is 0 and φ is not concave across 0: no chord there.
+	if c := g.chord[j]; p >= 0 && p < c.x {
+		t.slope, t.x = (c.px-price)/(c.x-p), c.x
+	}
+	g.term[s] = t
+}
+
+// chordMargin scales a chord bound's session term down by 1e-9
+// relative, three orders of magnitude above the rounding it must absorb;
+// chordMinCharge is the smallest scaled term a bound may use, so every
+// value it rests on is a normal float carrying only relative error (see
+// chordBound).
+const (
+	chordMargin    = 1 - 1e-9
+	chordMinCharge = 1e-290
+	// chordHeadroom sizes chords for 1/64 more total demand than the
+	// instance has, so a stream of joins that keeps total demand near
+	// its level rarely rebuilds them.
+	chordHeadroom = 1 + 1.0/64
+)
+
+// sizeChords resizes every charger's chord when total demand has
+// outgrown the demand the chords were sized for. A PDS game sizes them
+// at construction, and the repair path calls it after a device is added
+// or updated. A slot keeps the slope it was refreshed with until its
+// epoch moves; term[s].x records which right end that slope belongs to.
+func (g *chargerGame) sizeChords() {
+	if !g.pds {
+		return
+	}
+	var total float64
+	for _, d := range g.in.Devices {
+		total += d.Demand
+	}
+	if total <= g.chordDemand {
+		return
+	}
+	g.chordDemand = total * chordHeadroom
+	for j := range g.in.Chargers {
+		g.buildChord(j)
+	}
+}
+
+// buildChord sets charger j's chord end and its price: only a stationary
+// charger whose tariff is a power law in concaveByForm's region over
+// [0, x] gets one (under ESS chordDemand stays 0, so none does). The
+// repair path calls it again when the charger's tariff is swapped; the
+// swap dirties the charger's slots, so no slope of the old tariff
+// survives.
+func (g *chargerGame) buildChord(j int) {
+	ch := &g.in.Chargers[j]
+	g.chord[j] = chordEnd{}
+	if x := g.chordDemand / ch.Efficiency; !ch.Mobile && pricing.PowerLawOver(ch.Tariff, x) {
+		g.chord[j] = chordEnd{x: x, px: ch.Tariff.Price(x)}
+	}
+}
+
+// chordBound returns a lower bound on joinShare(i, s) under PDS, never
+// larger than the computed share, and whether one applies: slot s must
+// belong to a chord-bearing charger, and the join purchase must not pass
+// the right end its slope was built with. It refreshes the slot's
+// session term when stale, which costs one tariff price per slot epoch.
+//
+// With P the slot's purchase, w device i's and X ≥ P+w the chord's right
+// end, concavity of φ with φ(0) = 0 gives
+// φ(P+w) ≥ φ(P) + w·(φ(X) − φ(P))/(X − P), so the session term
+// Fee + φ(P+w) is at least c = term[s].charge + w·term[s].slope, scaled
+// by chordMargin. The bound is move + c·w/purch, evaluated exactly as
+// joinShare evaluates move + charging·w/purch; IEEE rounding is
+// monotone, so c ≤ fl(Fee + Price(purch)) carries through to the share.
+// That inequality holds in floating point because every error on either
+// side is relative and small: the prices carry math.Pow's ~1e-13, the
+// slope's error is at most a few of those relative to φ(P+w) (w ≤ X − P
+// and concavity bound both w·φ(X)/(X − P) and φ(P) by 2φ(P+w)), and
+// pricing at the rounded purch costs one more rounding. Their sum is
+// under 1e-12, three orders below the margin. Relative error needs
+// normal floats: the region PowerLawOver checks keeps X and every price
+// finite, and a scaled term below 1e-290 gets no bound, so any
+// subnormal price or product, off by under 1e-320, cannot matter.
+//
+// The chord must not be extrapolated: past X a concave φ lies under the
+// chord's line, so a purchase above the X a slope was built with gets no
+// bound.
+func (g *chargerGame) chordBound(i, s int) (float64, bool) {
+	j := g.chargerOf[s]
+	if g.chord[j].x == 0 {
+		return 0, false
+	}
+	if g.term[s].stamp != g.slotEpoch[s] {
+		g.refreshCharge(s)
+	}
+	t := &g.term[s]
+	mine := g.in.Devices[i].Demand / g.in.Chargers[j].Efficiency
+	purch := g.purchased[s] + mine
+	if !(purch <= t.x) {
+		return 0, false
+	}
+	c := (t.charge + mine*t.slope) * chordMargin
+	if !(c >= chordMinCharge) {
+		return 0, false
+	}
+	return g.cm.move[i][j] + c*mine/purch, true
 }
 
 // memberShare is member i's share of its own slot s, given the slot's

@@ -153,8 +153,10 @@ func (rs *RepairState) tariffSet(j int) {
 	}
 	// Under PDS a tariff only prices its own charger's sessions; moving
 	// costs and the other chargers' slots are untouched. (The sigma memo
-	// goes stale, but PDS shares never read it.)
+	// goes stale, but PDS shares never read it.) The charger's chord is
+	// rebuilt for the new tariff before its slots go dirty.
 	g := rs.game
+	g.buildChord(j)
 	for s := g.firstSlot[j]; s < len(g.chargerOf) && g.chargerOf[s] == j; s++ {
 		rs.markDirty(s)
 	}

@@ -513,10 +513,11 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 	}
 }
 
-// requireMemoExact asserts the memo invariant directly: every share the
-// game would answer from its caches equals the plain evaluation bit for
-// bit.
-func requireMemoExact(t *testing.T, g *chargerGame, tag string) {
+// requireMemoExact asserts the memo invariant directly: every exact
+// entry equals the plain evaluation bit for bit, every bound entry is at
+// most it, and every share the game answers equals it bit for bit. It
+// returns the number of bound entries it found.
+func requireMemoExact(t *testing.T, g *chargerGame, tag string) (bounds int) {
 	t.Helper()
 	for i := range g.cur {
 		if g.cur[i] < 0 {
@@ -524,11 +525,21 @@ func requireMemoExact(t *testing.T, g *chargerGame, tag string) {
 		}
 		for s := 0; s < len(g.chargerOf); s++ {
 			want := referenceShare(g, i, s)
+			switch v, st := g.memoized(i, s); {
+			case s == g.cur[i]:
+			case st == memoExact && math.Float64bits(v) != math.Float64bits(want):
+				t.Fatalf("%s: memo entry (%d, %d) = %v, plain evaluation %v", tag, i, s, v, want)
+			case st == memoBound && !(v <= want):
+				t.Fatalf("%s: bound entry (%d, %d) = %v above the plain evaluation %v", tag, i, s, v, want)
+			case st == memoBound:
+				bounds++
+			}
 			if got := g.share(i, s); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: share(%d, %d) = %v from the caches, plain evaluation %v", tag, i, s, got, want)
 			}
 		}
 	}
+	return bounds
 }
 
 // TestShareMemoExactAcrossLifecycle checks the memo invariant through

@@ -48,6 +48,17 @@ func unwrap(t Tariff) Tariff {
 	}
 }
 
+// PowerLawOver reports whether t prices as a PowerLaw — itself, or
+// through Unwrapper decorators — inside concaveByForm's analytic region
+// over [0, maxEnergy]: exponent in [2⁻¹⁰, 1], coefficient ≥ 0, maxEnergy
+// in [1e-250, 1e250] and a top price ≤ 1e300. There every price up to
+// maxEnergy is finite and, where normal, carries only math.Pow's ~1e-13
+// relative error.
+func PowerLawOver(t Tariff, maxEnergy float64) bool {
+	p, ok := unwrap(t).(PowerLaw)
+	return ok && concaveByForm(p, maxEnergy, EnvelopePoints)
+}
+
 // NewEnvelope prices t on EnvelopePoints equal steps up to maxEnergy
 // and returns the envelope through those points. Only the closed forms
 // concaveByForm accepts over [0, maxEnergy] get one (looking through

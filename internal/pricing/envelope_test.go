@@ -149,3 +149,32 @@ func manyTiers(n int) []Tier {
 	tiers[n-1].UpTo = math.Inf(1)
 	return tiers
 }
+
+// TestPowerLawOver: only a power law, bare or decorated through
+// Unwrapper, inside the analytic region over [0, maxEnergy] qualifies.
+func TestPowerLawOver(t *testing.T) {
+	pow := PowerLaw{Coeff: 0.4, Exponent: 0.9}
+	for _, tt := range []struct {
+		name      string
+		tariff    Tariff
+		maxEnergy float64
+		want      bool
+	}{
+		{"power law", pow, 100, true},
+		{"decorated power law", meter{meter{pow}}, 100, true},
+		{"exponent 2^-10", PowerLaw{Coeff: 1, Exponent: formMinExponent}, 1e6, true},
+		{"exponent 1", PowerLaw{Coeff: 1, Exponent: 1}, 1e6, true},
+		{"exponent below 2^-10", PowerLaw{Coeff: 1, Exponent: formMinExponent / 2}, 1e6, false},
+		{"decorator without Unwrap", struct{ Tariff }{pow}, 100, false},
+		{"linear", Linear{Rate: 0.02}, 100, false},
+		{"tiered", MustTiered(manyTiers(3)), 100, false},
+		{"empty range", pow, 0, false},
+		{"NaN range", pow, math.NaN(), false},
+		{"range above the analytic region", pow, 1e260, false},
+		{"top price above 1e300", PowerLaw{Coeff: 1e299, Exponent: 1}, 100, false},
+	} {
+		if got := PowerLawOver(tt.tariff, tt.maxEnergy); got != tt.want {
+			t.Errorf("%s: PowerLawOver = %v, want %v", tt.name, got, tt.want)
+		}
+	}
+}
