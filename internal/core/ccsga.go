@@ -193,7 +193,9 @@ func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) 
 	limit := bar - switchEps
 	candS, candShare := -1, 0.0
 	for _, s := range slots {
-		if s == cur {
+		// The moving-cost bound holds whatever the memo holds, so it is
+		// tested before the memo stamp is read.
+		if s == cur || bounds != nil && outranked(bounds[s], limit, candS, candShare) {
 			continue
 		}
 		sh, st := g.memoized(i, s)
@@ -207,9 +209,6 @@ func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) 
 			sh = g.memoize(i, s)
 		case st == memoMiss:
 			if bounds != nil {
-				if outranked(bounds[s], limit, candS, candShare) {
-					continue
-				}
 				if lb, ok := g.chordBound(i, s); ok && outranked(lb, limit, candS, candShare) {
 					g.stampBound(i, s, lb)
 					continue

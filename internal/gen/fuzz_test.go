@@ -3,7 +3,9 @@ package gen
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -43,6 +45,41 @@ func FuzzDecodeInstance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkScanAgainstReference(t, raw)
 	})
+}
+
+// FuzzScanNumber is the differential referee for the scanner's number
+// conversion: on any input json.Valid accepts as a lone number, num must
+// succeed exactly when strconv.ParseFloat does, with the same bits, and
+// leave the cursor at the number's end.
+func FuzzScanNumber(f *testing.F) {
+	for _, c := range numberEdges {
+		f.Add([]byte(c))
+	}
+	f.Add([]byte(" -12.5e3 "))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		lone := bytes.TrimSpace(raw)
+		if !json.Valid(raw) || len(lone) == 0 || lone[0] != '-' && (lone[0] < '0' || lone[0] > '9') {
+			return
+		}
+		checkScanNumber(t, bytes.TrimRight(raw, " \t\r\n"))
+	})
+}
+
+// checkScanNumber holds num on raw — optional leading whitespace, then
+// one JSON number — to strconv.ParseFloat.
+func checkScanNumber(t *testing.T, raw []byte) {
+	t.Helper()
+	s := scanner{data: raw}
+	got, ok := s.num()
+	want, err := strconv.ParseFloat(string(bytes.TrimSpace(raw)), 64)
+	switch {
+	case ok != (err == nil):
+		t.Fatalf("%q: num ok %v, strconv error %v", raw, ok, err)
+	case ok && math.Float64bits(got) != math.Float64bits(want):
+		t.Fatalf("%q: num %v (%#016x), strconv %v (%#016x)", raw, got, math.Float64bits(got), want, math.Float64bits(want))
+	case ok && s.pos != len(raw):
+		t.Fatalf("%q: cursor at %d, want %d", raw, s.pos, len(raw))
+	}
 }
 
 // scanSeeds walk the edges of the scanner's grammar: python-style

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/core"
@@ -84,53 +86,147 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// num reads a strictly valid JSON number.
+// num reads a strictly valid JSON number. While it validates, it
+// gathers the decimal mantissa (up to 19 significant digits, so it fits
+// a uint64) and the decimal exponent; inside the exact domain of
+// decimalFloat it converts them itself, and only a number outside it
+// (more digits, or |exponent| > 27) goes to strconv.ParseFloat.
 func (s *scanner) num() (float64, bool) {
 	s.ws()
 	d, i := s.data, s.pos
 	start := i
-	if i < len(d) && d[i] == '-' {
+	neg := i < len(d) && d[i] == '-'
+	if neg {
 		i++
 	}
+	var (
+		m  uint64 // significant digits, exact while nd <= 19
+		nd int    // significant digits read: leading zeros do not count
+		e  int    // decimal exponent of m
+	)
 	switch {
 	case i < len(d) && d[i] == '0':
 		i++
 	case i < len(d) && d[i] >= '1' && d[i] <= '9':
-		i = digits(d, i)
+		for ; i < len(d) && d[i] >= '0' && d[i] <= '9'; i++ {
+			m = m*10 + uint64(d[i]-'0')
+			nd++
+		}
 	default:
 		return 0, false
 	}
 	if i < len(d) && d[i] == '.' {
-		j := digits(d, i+1)
+		j := i + 1
+		for ; j < len(d) && d[j] >= '0' && d[j] <= '9'; j++ {
+			if m = m*10 + uint64(d[j]-'0'); m != 0 {
+				nd++
+			}
+		}
 		if j == i+1 {
 			return 0, false
 		}
-		i = j
+		e, i = i+1-j, j
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+		eneg := i < len(d) && d[i] == '-'
+		if eneg || i < len(d) && d[i] == '+' {
 			i++
 		}
-		j := digits(d, i)
+		x, j := 0, i
+		for ; j < len(d) && d[j] >= '0' && d[j] <= '9'; j++ {
+			if x < 1e6 {
+				x = x*10 + int(d[j]-'0')
+			}
+		}
 		if j == i {
 			return 0, false
 		}
-		i = j
+		switch i = j; {
+		case x >= 1e6:
+			e = x // saturated: left to strconv whatever the fraction shift
+		case eneg:
+			e -= x
+		default:
+			e += x
+		}
 	}
-	v, err := strconv.ParseFloat(string(d[start:i]), 64)
-	if err != nil {
-		return 0, false // out of range: encoding/json rejects it too
+	var v float64
+	if nd <= 19 && e >= -maxExactExp10 && e <= maxExactExp10 {
+		v = decimalFloat(m, e)
+		if neg {
+			v = -v
+		}
+	} else {
+		var err error
+		if v, err = strconv.ParseFloat(string(d[start:i]), 64); err != nil {
+			return 0, false // out of range: encoding/json rejects it too
+		}
 	}
 	s.pos = i
 	return v, true
 }
 
-func digits(d []byte, i int) int {
-	for i < len(d) && d[i] >= '0' && d[i] <= '9' {
-		i++
+// maxExactExp10 bounds the decimal exponents decimalFloat converts: 5^27
+// is the largest power of five that fits a uint64.
+const maxExactExp10 = 27
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// pow5 holds 5^k for every exponent in decimalFloat's domain.
+var pow5 = func() (p [maxExactExp10 + 1]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * 5
 	}
-	return i
+	return p
+}()
+
+// decimalFloat returns m × 10^e correctly rounded, for |e| <= 27, so
+// bit-identical to strconv.ParseFloat. Clinger's fast path covers an
+// exact mantissa (m <= 2^53) scaled by an exact power of ten (|e| <= 22):
+// one correctly rounded multiply or divide. Otherwise m × 5^e or
+// m / 5^-e is taken to a 64-bit integer with at least 11 bits below the
+// float64's 53, any discarded nonzero bits ORed into its lowest bit
+// (the sticky bit), so the one float64(uint64) rounding is correctly
+// rounded; the power of two left over is exact, since every result in
+// the domain is a normal float64.
+func decimalFloat(m uint64, e int) float64 {
+	switch {
+	case m <= 1<<53 && e >= 0 && e < len(pow10):
+		return float64(m) * pow10[e]
+	case m <= 1<<53 && e < 0 && -e < len(pow10):
+		return float64(m) / pow10[-e]
+	case e >= 0:
+		// The product's top 64 bits; when hi == 0, lz == 64 and top == lo.
+		hi, lo := bits.Mul64(m, pow5[e])
+		lz := bits.LeadingZeros64(hi)
+		top := hi<<lz | lo>>(64-lz)
+		if lo<<lz != 0 {
+			top |= 1
+		}
+		return math.Ldexp(float64(top), 64-lz+e)
+	}
+	// mn is m shifted up to bit 63. Shifted left by n, the divisor's bit
+	// length, it yields a quotient in [2^63, 2^64) when it is below the
+	// divisor shifted up to bit 63, and by n-1 otherwise; either way the
+	// high word stays below the divisor, as bits.Div64 requires.
+	k := -e
+	div := pow5[k]
+	n := bits.Len64(div)
+	lz := bits.LeadingZeros64(m)
+	mn := m << lz
+	t := n - 1
+	if mn < div<<(64-n) {
+		t = n
+	}
+	q, r := bits.Div64(mn>>(64-t), mn<<t, div)
+	if r != 0 {
+		q |= 1
+	}
+	return math.Ldexp(float64(q), -(lz + t + k))
 }
 
 // boolean reads true or false.

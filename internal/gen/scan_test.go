@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -103,6 +105,45 @@ func TestScanSolveRequestMatchesReference(t *testing.T) {
 		if _, _, ok := ScanSolveRequest([]byte(line)); ok {
 			t.Errorf("accepted %.80q", line)
 		}
+	}
+}
+
+// numberEdges walk the edges of num's exact domain: signed zeros, the
+// 2^53 boundary of Clinger's path (2^53+1 is a halfway case that rounds
+// to even), 19 against 20 significant digits, leading fractional zeros,
+// the exponents at and just past each path's limit (22 and 27), and
+// values whose rounding only the sticky bit decides.
+var numberEdges = []string{
+	"0", "-0", "0e5", "-0.000", "0e-28", "0e400", "-0.0e-0",
+	"9007199254740992", "9007199254740993", "-9007199254740993", "9007199254740995",
+	"829.6843298592096403", "1949901364785028738e-12", "3288962536384984647e9",
+	"1234567890123456789", "12345678901234567890", "9999999999999999999", "18446744073709551615",
+	"1.234567890123456789", "1.2345678901234567890",
+	"0.0001234567890123456789", "0.00012345678901234567890", "0.000000000000000000000000001",
+	"1e22", "1e-22", "1e23", "1e-23", "1e27", "1e-27", "1e28", "1e-28",
+	"9007199254740993e22", "9007199254740993e-22", "123456789012345678e23", "123456789012345678e-23",
+	"9999999999999999999e27", "9999999999999999999e-27", "9999999999999999999e28", "9999999999999999999e-28",
+	"1.5e28", "15e-28", "7e-10", "0.1", "0.2", "0.3", "2.2250738585072014e-308", "1.7976931348623157e308",
+	"1e400", "-1e400", "1e-400", "4.9e-324", "1E+2", "1e0000000000000000000001", "1e-99999999999999",
+}
+
+// TestScanNumberEdges holds num to strconv.ParseFloat, bit for bit, on
+// the domain's edges and on random 1–19 digit mantissas at every
+// exponent from -30 to 30, with and without a fraction point.
+func TestScanNumberEdges(t *testing.T) {
+	for _, c := range numberEdges {
+		checkScanNumber(t, []byte(c))
+	}
+	r := rand.New(rand.NewSource(1))
+	for k := 0; k < 200000; k++ {
+		digits := strconv.FormatUint(r.Uint64()>>r.Intn(64), 10)
+		if len(digits) > 19 {
+			digits = digits[:19]
+		}
+		if p := r.Intn(len(digits) + 1); p > 0 && p < len(digits) {
+			digits = digits[:p] + "." + digits[p:]
+		}
+		checkScanNumber(t, []byte(fmt.Sprintf("%se%d", digits, r.Intn(61)-30)))
 	}
 }
 
