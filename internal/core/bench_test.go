@@ -63,16 +63,6 @@ func BenchmarkOptimalN12(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimalBnBN14(b *testing.B) {
-	cm := benchModel(b, 14, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OptimalBnB(cm, BnBOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkShapleyExact12(b *testing.B) {
 	cm := benchModel(b, 12, 3)
 	members := make([]int, 12)

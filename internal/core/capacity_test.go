@@ -216,13 +216,6 @@ func TestCapacitatedCCSARejectsSFMOracle(t *testing.T) {
 	}
 }
 
-func TestCapacitatedBnBRefuses(t *testing.T) {
-	cm := mustCostModel(t, capacitatedInstance())
-	if _, err := OptimalBnB(cm, BnBOptions{}); err == nil {
-		t.Error("BnB with capacities should error")
-	}
-}
-
 func TestCapacitatedCCSGANash(t *testing.T) {
 	r := rand.New(rand.NewSource(403))
 	for trial := 0; trial < 5; trial++ {

@@ -123,17 +123,6 @@ func (cm *CostModel) TravelCost(members []int, j int) float64 {
 	return ch.MoveRate * cm.TourLength(members, j)
 }
 
-// TourDuration returns the time (seconds) charger j needs to drive its
-// planned tour over the members at its cruise speed, or 0 when the
-// charger is stationary or has no speed set.
-func (cm *CostModel) TourDuration(members []int, j int) float64 {
-	ch := &cm.inst.Chargers[j]
-	if !ch.Mobile || ch.Speed <= 0 {
-		return 0
-	}
-	return cm.TourLength(members, j) / ch.Speed
-}
-
 // ValidateTravel checks every coalition's planned tour against its
 // charger's travel budget.
 func (cm *CostModel) ValidateTravel(s *Schedule) error {

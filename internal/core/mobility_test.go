@@ -168,10 +168,6 @@ func TestTravelBudgetFeasibility(t *testing.T) {
 	if err := cm.ValidateTravel(bad); err == nil {
 		t.Error("ValidateTravel accepted an overrun tour")
 	}
-	// Duration uses the same canonical tour at cruise speed.
-	if got, want := cm.TourDuration([]int{0, 1}, 0), wantTour/2; math.Abs(got-want) > 1e-9 {
-		t.Errorf("TourDuration = %.6f, want %.6f", got, want)
-	}
 }
 
 // TestValidateKCoverage pins the validity layer's fixtures: the exact-
@@ -269,9 +265,6 @@ func TestMobilityRejectedByExactSolvers(t *testing.T) {
 	}
 	if _, err := Optimal(cm); err == nil || !strings.Contains(err.Error(), "mobile") {
 		t.Errorf("Optimal: want mobile rejection, got %v", err)
-	}
-	if _, err := OptimalBnB(cm, BnBOptions{}); err == nil || !strings.Contains(err.Error(), "mobile") {
-		t.Errorf("OptimalBnB: want mobile rejection, got %v", err)
 	}
 	if _, err := CCSA(cm, CCSAOptions{Oracle: SFMOracle}); err == nil || !strings.Contains(err.Error(), "submodularity") {
 		t.Errorf("CCSA SFM oracle: want submodularity rejection, got %v", err)

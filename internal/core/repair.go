@@ -85,10 +85,6 @@ func NewRepairState() *RepairState {
 	return &RepairState{dirty: make(map[int]struct{})}
 }
 
-// Primed reports whether the state holds a converged equilibrium to
-// repair from.
-func (rs *RepairState) Primed() bool { return rs.primed }
-
 // fallbackError aborts an incremental repair toward the full path.
 type fallbackError struct{ reason string }
 

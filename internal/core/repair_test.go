@@ -124,7 +124,7 @@ func TestRepairUnprimedMatchesWarmBytes(t *testing.T) {
 		if gb, wb := math.Float64bits(repCM.TotalCost(got.Schedule)), math.Float64bits(warmCM.TotalCost(want.Schedule)); gb != wb {
 			t.Errorf("unprimed repair cost bits %x, want %x", gb, wb)
 		}
-		if !rs.Primed() {
+		if !rs.primed {
 			t.Error("state not primed after first solve")
 		}
 	}
@@ -295,7 +295,7 @@ func TestRepairForcedFallback(t *testing.T) {
 	if !res.NashStable {
 		t.Error("fallback result not Nash stable")
 	}
-	if !rs.Primed() {
+	if !rs.primed {
 		t.Error("fallback did not re-prime the state")
 	}
 	// The re-primed state must repair again once the cap is lifted (a

@@ -26,9 +26,6 @@ func NewWarmStart() *WarmStart {
 	return &WarmStart{charger: make(map[string]int)}
 }
 
-// Len reports how many devices the carrier remembers.
-func (w *WarmStart) Len() int { return len(w.charger) }
-
 // set records one device's charger directly. The incremental repair path
 // uses it to keep the carrier current in O(seat changes) per solve — the
 // resulting map is identical to a full Record of the repaired schedule,

@@ -157,8 +157,8 @@ func TestWarmStartSeedMapsSurvivors(t *testing.T) {
 	}
 	ws := NewWarmStart()
 	ws.Record(in, res.Schedule)
-	if ws.Len() != 10 {
-		t.Fatalf("recorded %d devices, want 10", ws.Len())
+	if len(ws.charger) != 10 {
+		t.Fatalf("recorded %d devices, want 10", len(ws.charger))
 	}
 
 	// Survivors keep their equilibrium charger; a brand-new device starts
