@@ -1,12 +1,11 @@
-// Package energy models batteries, energy consumption and wireless power
-// transfer (WPT) links for rechargeable sensor devices.
+// Package energy models batteries and energy consumption for
+// rechargeable sensor devices.
 //
 // Units: joules (J) for energy, watts (W) for power, seconds for time,
 // meters for distance.
 package energy
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -29,12 +28,6 @@ func NewBattery(capacity, level float64) (*Battery, error) {
 	b.level = clamp(level, 0, capacity)
 	return b, nil
 }
-
-// Capacity returns the battery capacity in joules.
-func (b *Battery) Capacity() float64 { return b.capacity }
-
-// Level returns the current charge in joules.
-func (b *Battery) Level() float64 { return b.level }
 
 // Deficit returns capacity − level: the energy demand of a full recharge.
 func (b *Battery) Deficit() float64 { return b.capacity - b.level }
@@ -69,9 +62,6 @@ func (b *Battery) Charge(amount float64) float64 {
 	return stored
 }
 
-// Empty reports whether the battery is fully drained.
-func (b *Battery) Empty() bool { return b.level <= 0 }
-
 func clamp(v, lo, hi float64) float64 { return math.Min(math.Max(v, lo), hi) }
 
 // ConsumptionModel gives a device's average power draw. Sensing and radio
@@ -105,65 +95,4 @@ func (m ConsumptionModel) Consume(dt, speed float64) float64 {
 		return 0
 	}
 	return (m.AveragePowerW() + m.MoveWPerMps*math.Max(speed, 0)) * dt
-}
-
-// WPTLink models the efficiency of a wireless power transfer link as a
-// function of transmitter–receiver distance, following the empirical
-// inverse-square-with-offset law η(d) = Eta0 / (1 + d/D0)^2 commonly fit
-// to commodity magnetic-resonance chargers.
-type WPTLink struct {
-	// Eta0 is the efficiency at contact (d = 0), in (0, 1].
-	Eta0 float64
-	// D0 is the roll-off distance in meters.
-	D0 float64
-	// MaxRange is the distance beyond which no useful power is
-	// transferred; Efficiency returns 0 past it. Zero means unlimited.
-	MaxRange float64
-}
-
-// ErrOutOfRange indicates a WPT transfer was attempted beyond MaxRange.
-var ErrOutOfRange = errors.New("energy: receiver out of WPT range")
-
-// Efficiency returns η(d) ∈ [0, 1].
-func (w WPTLink) Efficiency(d float64) float64 {
-	if d < 0 {
-		d = 0
-	}
-	if w.MaxRange > 0 && d > w.MaxRange {
-		return 0
-	}
-	den := 1 + d/math.Max(w.D0, 1e-9)
-	return clamp(w.Eta0/(den*den), 0, 1)
-}
-
-// PurchasedFor returns the energy the charger must emit (and the customer
-// must purchase) for the receiver at distance d to store `stored` joules.
-// It returns ErrOutOfRange when the link efficiency is zero.
-func (w WPTLink) PurchasedFor(stored, d float64) (float64, error) {
-	eta := w.Efficiency(d)
-	if eta <= 0 {
-		return 0, ErrOutOfRange
-	}
-	if stored <= 0 {
-		return 0, nil
-	}
-	return stored / eta, nil
-}
-
-// TransferTime returns the session duration (s) to deliver `stored` joules
-// to a receiver at distance d with transmit power txPowerW. It returns
-// ErrOutOfRange when the link efficiency is zero and an error for
-// non-positive transmit power.
-func (w WPTLink) TransferTime(stored, d, txPowerW float64) (float64, error) {
-	if txPowerW <= 0 {
-		return 0, fmt.Errorf("energy: transmit power %v <= 0", txPowerW)
-	}
-	eta := w.Efficiency(d)
-	if eta <= 0 {
-		return 0, ErrOutOfRange
-	}
-	if stored <= 0 {
-		return 0, nil
-	}
-	return stored / (txPowerW * eta), nil
 }

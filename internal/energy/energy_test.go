@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,31 +33,31 @@ func TestNewBatteryClampsLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Level() != 100 {
-		t.Errorf("Level = %v, want clamped to 100", b.Level())
+	if b.level != 100 {
+		t.Errorf("Level = %v, want clamped to 100", b.level)
 	}
 	b, _ = NewBattery(100, -5)
-	if b.Level() != 0 {
-		t.Errorf("Level = %v, want clamped to 0", b.Level())
+	if b.level != 0 {
+		t.Errorf("Level = %v, want clamped to 0", b.level)
 	}
 }
 
 func TestBatteryDrainCharge(t *testing.T) {
 	b, _ := NewBattery(100, 60)
-	if got := b.Drain(20); got != 20 || b.Level() != 40 {
-		t.Errorf("Drain(20) = %v, level %v", got, b.Level())
+	if got := b.Drain(20); got != 20 || b.level != 40 {
+		t.Errorf("Drain(20) = %v, level %v", got, b.level)
 	}
-	if got := b.Drain(1000); got != 40 || !b.Empty() {
-		t.Errorf("over-Drain = %v, empty=%v", got, b.Empty())
+	if got := b.Drain(1000); got != 40 || b.level > 0 {
+		t.Errorf("over-Drain = %v, level %v", got, b.level)
 	}
 	if got := b.Drain(-1); got != 0 {
 		t.Errorf("negative Drain = %v", got)
 	}
-	if got := b.Charge(30); got != 30 || b.Level() != 30 {
-		t.Errorf("Charge(30) = %v, level %v", got, b.Level())
+	if got := b.Charge(30); got != 30 || b.level != 30 {
+		t.Errorf("Charge(30) = %v, level %v", got, b.level)
 	}
-	if got := b.Charge(1000); got != 70 || b.Level() != 100 {
-		t.Errorf("over-Charge = %v, level %v", got, b.Level())
+	if got := b.Charge(1000); got != 70 || b.level != 100 {
+		t.Errorf("over-Charge = %v, level %v", got, b.level)
 	}
 	if got := b.Charge(-1); got != 0 {
 		t.Errorf("negative Charge = %v", got)
@@ -85,7 +84,7 @@ func TestBatteryInvariantProperty(t *testing.T) {
 			} else {
 				b.Charge(amt)
 			}
-			if b.Level() < 0 || b.Level() > b.Capacity() {
+			if b.level < 0 || b.level > b.capacity {
 				return false
 			}
 		}
@@ -120,72 +119,5 @@ func TestConsumptionModel(t *testing.T) {
 	}
 	if got := m.Consume(10, -5); math.Abs(got-wantAvg*10) > 1e-12 {
 		t.Errorf("Consume negative speed should ignore speed, got %v", got)
-	}
-}
-
-func TestWPTEfficiency(t *testing.T) {
-	w := WPTLink{Eta0: 0.8, D0: 1, MaxRange: 5}
-	if got := w.Efficiency(0); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("Efficiency(0) = %v, want 0.8", got)
-	}
-	if got := w.Efficiency(1); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("Efficiency(1) = %v, want 0.2", got)
-	}
-	if got := w.Efficiency(-3); got != w.Efficiency(0) {
-		t.Errorf("negative distance should clamp to 0: %v", got)
-	}
-	if got := w.Efficiency(6); got != 0 {
-		t.Errorf("beyond MaxRange = %v, want 0", got)
-	}
-	// Monotone decreasing in distance within range.
-	prev := w.Efficiency(0)
-	for d := 0.5; d <= 5; d += 0.5 {
-		cur := w.Efficiency(d)
-		if cur > prev+1e-12 {
-			t.Fatalf("efficiency increased at d=%v", d)
-		}
-		prev = cur
-	}
-}
-
-func TestWPTEfficiencyCappedAtOne(t *testing.T) {
-	w := WPTLink{Eta0: 5, D0: 1} // nonsensical Eta0 still must clamp
-	if got := w.Efficiency(0); got != 1 {
-		t.Errorf("Efficiency clamp = %v, want 1", got)
-	}
-}
-
-func TestPurchasedFor(t *testing.T) {
-	w := WPTLink{Eta0: 0.5, D0: 1e9} // effectively constant 0.5
-	got, err := w.PurchasedFor(100, 0)
-	if err != nil || math.Abs(got-200) > 1e-9 {
-		t.Errorf("PurchasedFor = %v, %v; want 200", got, err)
-	}
-	got, err = w.PurchasedFor(0, 0)
-	if err != nil || got != 0 {
-		t.Errorf("PurchasedFor zero = %v, %v", got, err)
-	}
-	wr := WPTLink{Eta0: 0.5, D0: 1, MaxRange: 2}
-	if _, err := wr.PurchasedFor(10, 3); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("out of range err = %v, want ErrOutOfRange", err)
-	}
-}
-
-func TestTransferTime(t *testing.T) {
-	w := WPTLink{Eta0: 0.5, D0: 1e9}
-	got, err := w.TransferTime(100, 0, 10) // 100 J at 10W×0.5 = 5 W stored
-	if err != nil || math.Abs(got-20) > 1e-9 {
-		t.Errorf("TransferTime = %v, %v; want 20", got, err)
-	}
-	if _, err := w.TransferTime(100, 0, 0); err == nil {
-		t.Error("zero tx power should error")
-	}
-	wr := WPTLink{Eta0: 0.5, D0: 1, MaxRange: 2}
-	if _, err := wr.TransferTime(10, 5, 10); !errors.Is(err, ErrOutOfRange) {
-		t.Errorf("out of range err = %v", err)
-	}
-	got, err = w.TransferTime(0, 0, 10)
-	if err != nil || got != 0 {
-		t.Errorf("TransferTime zero stored = %v, %v", got, err)
 	}
 }
