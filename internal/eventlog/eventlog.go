@@ -51,14 +51,12 @@ type Event struct {
 // nil checks.
 type Logger struct {
 	mu  sync.Mutex
-	w   io.Writer
 	enc *json.Encoder
-	n   int
 }
 
 // New returns a Logger writing JSONL to w.
 func New(w io.Writer) *Logger {
-	return &Logger{w: w, enc: json.NewEncoder(w)}
+	return &Logger{enc: json.NewEncoder(w)}
 }
 
 // Log writes one event. Errors are returned so callers may choose to
@@ -72,18 +70,7 @@ func (l *Logger) Log(e Event) error {
 	if err := l.enc.Encode(e); err != nil {
 		return fmt.Errorf("eventlog: %w", err)
 	}
-	l.n++
 	return nil
-}
-
-// Count returns the number of events logged so far (0 on nil).
-func (l *Logger) Count() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }
 
 // Read decodes every event from a JSONL stream.
