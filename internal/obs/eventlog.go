@@ -20,25 +20,13 @@ import (
 type EventLogger struct {
 	mu sync.Mutex
 	w  io.Writer
-	n  int
-	// now is the timestamp source; overridable in tests.
+	// now is the timestamp source; tests pin it for stable output.
 	now func() time.Time
 }
 
 // NewEventLogger builds a logger writing to w.
 func NewEventLogger(w io.Writer) *EventLogger {
 	return &EventLogger{w: w, now: time.Now}
-}
-
-// SetClock replaces the timestamp source (tests pin it for stable
-// output). No-op on nil.
-func (l *EventLogger) SetClock(now func() time.Time) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.now = now
 }
 
 // Event writes one line: `ts=<RFC3339> event=<name> k=v k=v ...`.
@@ -66,19 +54,7 @@ func (l *EventLogger) Event(name string, kv ...any) {
 		}
 	}
 	sb.WriteByte('\n')
-	if _, err := io.WriteString(l.w, sb.String()); err == nil {
-		l.n++
-	}
-}
-
-// Count returns the number of events written so far (0 on nil).
-func (l *EventLogger) Count() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
+	_, _ = io.WriteString(l.w, sb.String())
 }
 
 // eventValue quotes a rendered value only when needed to keep the line

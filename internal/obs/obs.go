@@ -57,13 +57,6 @@ type Gauge struct {
 	bits atomic.Uint64 // math.Float64bits of the current value
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
 // Add shifts the value by delta (use a negative delta to decrement).
 func (g *Gauge) Add(delta float64) {
 	if g == nil {

@@ -26,7 +26,7 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	if g.Value() != 2 {
 		t.Errorf("gauge = %v, want 2", g.Value())
 	}
-	g.Set(7.5)
+	g.Add(5.5)
 	if g.Value() != 7.5 {
 		t.Errorf("gauge = %v, want 7.5", g.Value())
 	}
@@ -77,7 +77,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zreq_total", "code", "200").Add(3)
 	r.Counter("zreq_total", "code", "500").Add(1)
-	r.Gauge("temp").Set(36.6)
+	r.Gauge("temp").Add(36.6)
 	h := r.Histogram("lat", []float64{0.5, 1})
 	h.Observe(0.2)
 	h.Observe(0.7)
@@ -152,7 +152,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -167,10 +166,6 @@ func TestNilSafety(t *testing.T) {
 
 	var l *EventLogger
 	l.Event("ignored", "k", "v")
-	l.SetClock(nil)
-	if l.Count() != 0 {
-		t.Error("nil event logger counted events")
-	}
 }
 
 func TestHandlerServesExposition(t *testing.T) {
