@@ -134,16 +134,6 @@ func Registry() []Experiment {
 	return exps
 }
 
-// IDs returns every registered experiment ID, sorted.
-func IDs() []string {
-	exps := Registry()
-	ids := make([]string, len(exps))
-	for i, e := range exps {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, error) {
 	for _, e := range Registry() {

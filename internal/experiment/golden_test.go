@@ -18,6 +18,16 @@ import (
 // cell ordering, or aggregation fail loudly.
 var updateGolden = flag.Bool("update", false, "rewrite golden experiment renderings")
 
+// IDs returns every registered experiment ID, sorted.
+func IDs() []string {
+	exps := Registry()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
 // renderResult is the canonical golden rendering: table, then chart,
 // then notes — the same shape cmd/ccsim prints.
 func renderResult(res *Result) string {
