@@ -141,11 +141,6 @@ func decodeReference(data []byte) (*core.Instance, error) {
 	return in, nil
 }
 
-// EncodeTariff converts a tariff to its tagged-union DTO. Exported for
-// the serve-mode session protocol, whose tariff-change deltas carry a
-// TariffDTO.
-func EncodeTariff(t pricing.Tariff) (TariffDTO, error) { return tariffDTO(t) }
-
 // DecodeTariff converts a tagged-union DTO back to a tariff.
 func DecodeTariff(d TariffDTO) (pricing.Tariff, error) { return tariffFromDTO(d) }
 
