@@ -56,7 +56,7 @@ func TestInstanceRespectsParams(t *testing.T) {
 		if d.MoveRate < p.MoveRateMin || d.MoveRate > p.MoveRateMax {
 			t.Fatalf("move rate %v out of range", d.MoveRate)
 		}
-		if !in.Field.Contains(d.Pos) {
+		if in.Field.DistTo(d.Pos) != 0 {
 			t.Fatalf("device outside field: %v", d.Pos)
 		}
 	}

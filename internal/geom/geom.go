@@ -23,17 +23,8 @@ func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 // Add returns the vector sum p+q.
 func (p Point) Add(q Point) Point { return Point{X: p.X + q.X, Y: p.Y + q.Y} }
 
-// Sub returns the vector difference p-q.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
 // Scale returns p scaled by k.
 func (p Point) Scale(k float64) Point { return Point{X: p.X * k, Y: p.Y * k} }
-
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
 
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
@@ -81,19 +72,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the rectangle's extent along Y.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
-}
-
-// Contains reports whether p lies inside r (boundary inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Clamp returns p moved to the nearest point inside r.
 func (r Rect) Clamp(p Point) Point {
 	return Point{
@@ -101,10 +79,6 @@ func (r Rect) Clamp(p Point) Point {
 		Y: math.Min(math.Max(p.Y, r.MinY), r.MaxY),
 	}
 }
-
-// Diagonal returns the length of the rectangle's diagonal, an upper bound
-// on any intra-field distance.
-func (r Rect) Diagonal() float64 { return math.Hypot(r.Width(), r.Height()) }
 
 // DistTo returns the Euclidean distance from p to the nearest point of r:
 // zero when p lies inside r or on its boundary. Spatial sharding uses it
@@ -114,52 +88,4 @@ func (r Rect) DistTo(p Point) float64 {
 	dx := math.Max(math.Max(r.MinX-p.X, 0), p.X-r.MaxX)
 	dy := math.Max(math.Max(r.MinY-p.Y, 0), p.Y-r.MaxY)
 	return math.Hypot(dx, dy)
-}
-
-// Nearest returns the index of the point in candidates closest to p, and
-// the distance to it. It returns (-1, +Inf) when candidates is empty.
-func Nearest(p Point, candidates []Point) (int, float64) {
-	best, bestD2 := -1, math.Inf(1)
-	for i, c := range candidates {
-		if d2 := p.Dist2(c); d2 < bestD2 {
-			best, bestD2 = i, d2
-		}
-	}
-	if best < 0 {
-		return -1, math.Inf(1)
-	}
-	return best, math.Sqrt(bestD2)
-}
-
-// Centroid returns the arithmetic mean of pts. It returns the origin for an
-// empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var sx, sy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-	}
-	n := float64(len(pts))
-	return Point{X: sx / n, Y: sy / n}
-}
-
-// TotalDist returns the sum of distances from p to every point in pts.
-func TotalDist(p Point, pts []Point) float64 {
-	var sum float64
-	for _, q := range pts {
-		sum += p.Dist(q)
-	}
-	return sum
-}
-
-// PathLength returns the length of the polyline through pts in order.
-func PathLength(pts []Point) float64 {
-	var sum float64
-	for i := 1; i < len(pts); i++ {
-		sum += pts[i-1].Dist(pts[i])
-	}
-	return sum
 }

