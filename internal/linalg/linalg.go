@@ -13,14 +13,6 @@ import (
 // ErrSingular is returned when a system has no unique solution.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// Solve solves the n×n system A·x = b by Gaussian elimination with partial
-// pivoting. A and b are not modified. It returns ErrSingular when a pivot
-// underflows.
-func Solve(a [][]float64, b []float64) ([]float64, error) {
-	var w Workspace
-	return w.Solve(a, b)
-}
-
 // Workspace holds the augmented-matrix and solution buffers Solve needs,
 // so repeated solves (the Fujishige–Wolfe minor cycles) allocate nothing
 // after warm-up. The zero value is ready to use; a Workspace is not safe
@@ -45,7 +37,9 @@ func (w *Workspace) Grow(n int) {
 	}
 }
 
-// Solve is Solve with the scratch buffers taken from w. The returned
+// Solve solves the n×n system A·x = b by Gaussian elimination with partial
+// pivoting, with the scratch buffers taken from w. A and b are not
+// modified. It returns ErrSingular when a pivot underflows. The returned
 // slice aliases w and is only valid until the next call on w.
 func (w *Workspace) Solve(a [][]float64, b []float64) ([]float64, error) {
 	n := len(a)

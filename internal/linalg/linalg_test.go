@@ -10,7 +10,7 @@ import (
 func TestSolveIdentity(t *testing.T) {
 	a := [][]float64{{1, 0}, {0, 1}}
 	b := []float64{3, -7}
-	x, err := Solve(a, b)
+	x, err := new(Workspace).Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestSolveKnownSystem(t *testing.T) {
 	// 2x + y = 5; x - y = 1  => x=2, y=1
 	a := [][]float64{{2, 1}, {1, -1}}
 	b := []float64{5, 1}
-	x, err := Solve(a, b)
+	x, err := new(Workspace).Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero forces a row swap.
 	a := [][]float64{{0, 1}, {1, 0}}
 	b := []float64{2, 3}
-	x, err := Solve(a, b)
+	x, err := new(Workspace).Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +48,19 @@ func TestSolveNeedsPivoting(t *testing.T) {
 func TestSolveSingular(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 4}}
 	b := []float64{1, 2}
-	if _, err := Solve(a, b); !errors.Is(err, ErrSingular) {
+	if _, err := new(Workspace).Solve(a, b); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestSolveValidation(t *testing.T) {
-	if _, err := Solve(nil, nil); err == nil {
+	if _, err := new(Workspace).Solve(nil, nil); err == nil {
 		t.Error("empty system should error")
 	}
-	if _, err := Solve([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := new(Workspace).Solve([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
-	if _, err := Solve([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
+	if _, err := new(Workspace).Solve([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
 		t.Error("ragged matrix should error")
 	}
 }
@@ -68,7 +68,7 @@ func TestSolveValidation(t *testing.T) {
 func TestSolveDoesNotMutateInputs(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, -1}}
 	b := []float64{5, 1}
-	if _, err := Solve(a, b); err != nil {
+	if _, err := new(Workspace).Solve(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if a[0][0] != 2 || a[1][1] != -1 || b[0] != 5 {
@@ -96,7 +96,7 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 				b[i] += a[i][j] * xTrue[j]
 			}
 		}
-		x, err := Solve(a, b)
+		x, err := new(Workspace).Solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
