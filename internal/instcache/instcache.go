@@ -135,13 +135,6 @@ func (c *Cache) store(key Key, sched *core.Schedule, cost float64) {
 	c.entries[key] = c.ll.PushFront(&entry{key: key, sched: cloneSchedule(sched), cost: cost})
 }
 
-// Len reports the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
