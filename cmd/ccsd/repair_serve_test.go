@@ -41,7 +41,7 @@ func repairBenchInstance(n int) *core.Instance {
 	tariffs := []pricing.Tariff{
 		pricing.Linear{Rate: 0.03},
 		pricing.PowerLaw{Coeff: 0.25, Exponent: 0.85},
-		pricing.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
+		testutil.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
 	}
 	for j := 0; j < 12; j++ {
 		in.Chargers = append(in.Chargers, core.Charger{

@@ -55,7 +55,7 @@ func sessionInstance(n int, capacitated bool) *core.Instance {
 	tariffs := []pricing.Tariff{
 		pricing.Linear{Rate: 0.03},
 		pricing.PowerLaw{Coeff: 0.25, Exponent: 0.85},
-		pricing.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
+		testutil.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
 	}
 	for j := 0; j < 3; j++ {
 		in.Chargers = append(in.Chargers, core.Charger{

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pricing"
+	"repro/internal/testutil"
 )
 
 // unwrapTariff decorates a tariff without changing a price and says so
@@ -216,7 +217,7 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 		case r.Intn(2) == 0:
 			t = pricing.Linear{Rate: 0.001 + 0.05*r.Float64()}
 		default:
-			t = pricing.MustTiered([]pricing.Tier{
+			t = testutil.MustTiered([]pricing.Tier{
 				{UpTo: 100 + 400*r.Float64(), Rate: 0.01 + 0.05*r.Float64()},
 				{UpTo: math.Inf(1), Rate: 0.001 + 0.009*r.Float64()},
 			})

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pricing"
+	"repro/internal/testutil"
 )
 
 // plainSolve is the plain-path referee for ccsgaSolve: the same seeded
@@ -313,7 +314,7 @@ func skipTestTariff(r *rand.Rand) pricing.Tariff {
 			tiers = append(tiers, pricing.Tier{UpTo: upTo, Rate: rate})
 			rate *= 0.3 + r.Float64()*0.7
 		}
-		t = pricing.MustTiered(append(tiers, pricing.Tier{UpTo: math.Inf(1), Rate: rate}))
+		t = testutil.MustTiered(append(tiers, pricing.Tier{UpTo: math.Inf(1), Rate: rate}))
 	default:
 		t = pricing.Linear{}
 	}

@@ -115,16 +115,6 @@ func NewTiered(tiers []Tier) (*Tiered, error) {
 	return &Tiered{tiers: cp}, nil
 }
 
-// MustTiered is NewTiered that panics on invalid input; for package-level
-// defaults and tests.
-func MustTiered(tiers []Tier) *Tiered {
-	t, err := NewTiered(tiers)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Price implements Tariff.
 func (t *Tiered) Price(energy float64) float64 {
 	if energy <= 0 {
@@ -279,13 +269,4 @@ func spotCheck(tariff Tariff, maxEnergy float64, samples int) error {
 		}
 	}
 	return nil
-}
-
-// MarginalRate returns the approximate marginal price around energy,
-// (Price(e+h)-Price(e))/h, useful for reporting effective $/J at scale.
-func MarginalRate(tariff Tariff, energy, h float64) float64 {
-	if h <= 0 {
-		h = 1e-6
-	}
-	return (tariff.Price(energy+h) - tariff.Price(energy)) / h
 }

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// MustTiered is NewTiered that panics on invalid input.
+func MustTiered(tiers []Tier) *Tiered {
+	t, err := NewTiered(tiers)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func TestLinear(t *testing.T) {
 	l := Linear{Rate: 0.5}
 	tests := []struct {
@@ -189,22 +198,6 @@ func TestConcaveTariffsSubadditiveProperty(t *testing.T) {
 		if err := quick.Check(prop, cfg); err != nil {
 			t.Errorf("%s not subadditive: %v", tf.Name(), err)
 		}
-	}
-}
-
-func TestMarginalRate(t *testing.T) {
-	l := Linear{Rate: 0.25}
-	if got := MarginalRate(l, 100, 1); math.Abs(got-0.25) > 1e-9 {
-		t.Errorf("MarginalRate linear = %v, want 0.25", got)
-	}
-	// Marginal rate of a concave tariff decreases with scale.
-	p := PowerLaw{Coeff: 1, Exponent: 0.5}
-	if MarginalRate(p, 10, 0.01) <= MarginalRate(p, 1000, 0.01) {
-		t.Error("powerlaw marginal rate should decrease with energy")
-	}
-	// Non-positive h falls back to a small default without exploding.
-	if got := MarginalRate(l, 5, 0); math.Abs(got-0.25) > 1e-6 {
-		t.Errorf("MarginalRate h=0 fallback = %v", got)
 	}
 }
 
