@@ -285,7 +285,7 @@ func Run(cfg Config) (*Metrics, error) {
 		schedule func(kind string, interval float64, fn func())
 	)
 	schedule = func(kind string, interval float64, fn func()) {
-		if _, err := eng.Schedule(interval, func() {
+		if err := eng.Schedule(interval, func() {
 			if runErr != nil {
 				return
 			}

@@ -13,16 +13,10 @@ import (
 	"math"
 )
 
-// EventID identifies a scheduled event for cancellation.
-type EventID int64
-
 type event struct {
-	time     float64
-	seq      int64 // tie-break: FIFO among equal times
-	id       EventID
-	fn       func()
-	canceled bool
-	index    int // heap index
+	time float64
+	seq  int64 // tie-break: FIFO among equal times
+	fn   func()
 }
 
 type eventHeap []*event
@@ -34,16 +28,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -57,72 +43,46 @@ func (h *eventHeap) Pop() any {
 type Engine struct {
 	now     float64
 	seq     int64
-	nextID  EventID
 	pending eventHeap
-	byID    map[EventID]*event
 }
 
 // New returns an engine with the clock at zero.
-func New() *Engine {
-	return &Engine{byID: make(map[EventID]*event)}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time, seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Pending returns the number of scheduled (uncanceled) events.
-func (e *Engine) Pending() int { return len(e.byID) }
-
 // Schedule runs fn after delay seconds of virtual time. A negative or NaN
 // delay is an error.
-func (e *Engine) Schedule(delay float64, fn func()) (EventID, error) {
+func (e *Engine) Schedule(delay float64, fn func()) error {
 	if delay < 0 || math.IsNaN(delay) {
-		return 0, fmt.Errorf("sim: invalid delay %v", delay)
+		return fmt.Errorf("sim: invalid delay %v", delay)
 	}
 	return e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt runs fn at absolute virtual time t (>= Now).
-func (e *Engine) ScheduleAt(t float64, fn func()) (EventID, error) {
+func (e *Engine) ScheduleAt(t float64, fn func()) error {
 	if fn == nil {
-		return 0, errors.New("sim: nil event function")
+		return errors.New("sim: nil event function")
 	}
 	if t < e.now || math.IsNaN(t) {
-		return 0, fmt.Errorf("sim: time %v before now %v", t, e.now)
+		return fmt.Errorf("sim: time %v before now %v", t, e.now)
 	}
-	e.nextID++
 	e.seq++
-	ev := &event{time: t, seq: e.seq, id: e.nextID, fn: fn}
-	heap.Push(&e.pending, ev)
-	e.byID[ev.id] = ev
-	return ev.id, nil
-}
-
-// Cancel removes a scheduled event. It reports whether the event was
-// still pending.
-func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.byID[id]
-	if !ok {
-		return false
-	}
-	ev.canceled = true
-	delete(e.byID, id)
-	return true
+	heap.Push(&e.pending, &event{time: t, seq: e.seq, fn: fn})
+	return nil
 }
 
 // Step fires the next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for e.pending.Len() > 0 {
-		ev := heap.Pop(&e.pending).(*event)
-		if ev.canceled {
-			continue
-		}
-		delete(e.byID, ev.id)
-		e.now = ev.time
-		ev.fn()
-		return true
+	if e.pending.Len() == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.pending).(*event)
+	e.now = ev.time
+	ev.fn()
+	return true
 }
 
 // RunUntil fires events in order until the clock would pass `until` or no
@@ -130,31 +90,12 @@ func (e *Engine) Step() bool {
 // It returns the number of events fired.
 func (e *Engine) RunUntil(until float64) int {
 	fired := 0
-	for e.pending.Len() > 0 {
-		// Peek.
-		next := e.pending[0]
-		if next.canceled {
-			heap.Pop(&e.pending)
-			continue
-		}
-		if next.time > until {
-			break
-		}
-		if e.Step() {
-			fired++
-		}
+	for e.pending.Len() > 0 && e.pending[0].time <= until {
+		e.Step()
+		fired++
 	}
 	if until > e.now {
 		e.now = until
-	}
-	return fired
-}
-
-// Run fires all remaining events and returns how many fired.
-func (e *Engine) Run() int {
-	fired := 0
-	for e.Step() {
-		fired++
 	}
 	return fired
 }

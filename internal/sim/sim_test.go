@@ -8,16 +8,16 @@ import (
 func TestScheduleAndRunOrder(t *testing.T) {
 	e := New()
 	var got []int
-	if _, err := e.Schedule(3, func() { got = append(got, 3) }); err != nil {
+	if err := e.Schedule(3, func() { got = append(got, 3) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(1, func() { got = append(got, 1) }); err != nil {
+	if err := e.Schedule(1, func() { got = append(got, 1) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Schedule(2, func() { got = append(got, 2) }); err != nil {
+	if err := e.Schedule(2, func() { got = append(got, 2) }); err != nil {
 		t.Fatal(err)
 	}
-	if fired := e.Run(); fired != 3 {
+	if fired := e.RunUntil(3); fired != 3 {
 		t.Fatalf("fired = %d", fired)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -33,11 +33,11 @@ func TestEqualTimesFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		if _, err := e.Schedule(1, func() { got = append(got, i) }); err != nil {
+		if err := e.Schedule(1, func() { got = append(got, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
+	e.RunUntil(1)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("FIFO violated: %v", got)
@@ -48,39 +48,17 @@ func TestEqualTimesFIFO(t *testing.T) {
 func TestScheduleFromWithinEvent(t *testing.T) {
 	e := New()
 	var times []float64
-	if _, err := e.Schedule(1, func() {
+	if err := e.Schedule(1, func() {
 		times = append(times, e.Now())
-		if _, err := e.Schedule(2, func() { times = append(times, e.Now()) }); err != nil {
+		if err := e.Schedule(2, func() { times = append(times, e.Now()) }); err != nil {
 			t.Error(err)
 		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	e.RunUntil(3)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Errorf("times = %v", times)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	ran := false
-	id, err := e.Schedule(1, func() { ran = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Cancel(id) {
-		t.Error("Cancel returned false for pending event")
-	}
-	if e.Cancel(id) {
-		t.Error("double Cancel returned true")
-	}
-	e.Run()
-	if ran {
-		t.Error("canceled event ran")
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d", e.Pending())
 	}
 }
 
@@ -89,7 +67,7 @@ func TestRunUntil(t *testing.T) {
 	var got []float64
 	for _, d := range []float64{1, 2, 3, 4} {
 		d := d
-		if _, err := e.Schedule(d, func() { got = append(got, d) }); err != nil {
+		if err := e.Schedule(d, func() { got = append(got, d) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,48 +85,20 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunUntilSkipsCanceled(t *testing.T) {
-	e := New()
-	id, _ := e.Schedule(1, func() {})
-	e.Cancel(id)
-	if fired := e.RunUntil(5); fired != 0 {
-		t.Errorf("fired = %d, want 0", fired)
-	}
-}
-
 func TestScheduleValidation(t *testing.T) {
 	e := New()
-	if _, err := e.Schedule(-1, func() {}); err == nil {
+	if err := e.Schedule(-1, func() {}); err == nil {
 		t.Error("negative delay should error")
 	}
-	if _, err := e.Schedule(math.NaN(), func() {}); err == nil {
+	if err := e.Schedule(math.NaN(), func() {}); err == nil {
 		t.Error("NaN delay should error")
 	}
-	if _, err := e.Schedule(1, nil); err == nil {
+	if err := e.Schedule(1, nil); err == nil {
 		t.Error("nil fn should error")
 	}
 	e.RunUntil(5)
-	if _, err := e.ScheduleAt(1, func() {}); err == nil {
+	if err := e.ScheduleAt(1, func() {}); err == nil {
 		t.Error("scheduling in the past should error")
-	}
-}
-
-func TestPending(t *testing.T) {
-	e := New()
-	if e.Pending() != 0 {
-		t.Fatal("fresh engine pending != 0")
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := e.Schedule(float64(i+1), func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Pending() != 4 {
-		t.Fatalf("Pending = %d", e.Pending())
-	}
-	e.Step()
-	if e.Pending() != 3 {
-		t.Fatalf("Pending after Step = %d", e.Pending())
 	}
 }
 
