@@ -80,7 +80,7 @@ func TestDeterminismAcrossShardOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm := make([]int, b.NumShards())
+	perm := make([]int, len(b.shards))
 	for i := range perm {
 		perm[i] = len(perm) - 1 - i
 	}

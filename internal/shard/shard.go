@@ -161,9 +161,6 @@ func gridDim(extent, cell float64) int {
 	return n
 }
 
-// NumShards reports how many grid cells own at least one charger.
-func (p *Planner) NumShards() int { return len(p.shards) }
-
 // cellOf maps a position to its row-major grid cell, clamping positions
 // outside the field into the boundary cells. A point exactly on an
 // interior cell edge belongs to the higher-indexed cell (floor
@@ -668,7 +665,7 @@ func (p *Planner) subInstance(k int, devices []core.Device, devs []int) *core.In
 }
 
 // permuteShards reorders the planner's internal shard slice by perm (a
-// permutation of [0, NumShards)), rebuilding the cell lookup to match.
+// permutation of [0, len(p.shards))), rebuilding the cell lookup to match.
 // It exists only for the determinism tests: every Planner output must be
 // byte-identical under any enumeration order, because all tie-breaks are
 // on cell and charger indices, never on slice position.
