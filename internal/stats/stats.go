@@ -65,15 +65,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns an error for an empty
 // sample or q outside [0,1].
@@ -158,31 +149,6 @@ func RatioOfMeans(num, den []float64) (float64, error) {
 	return Mean(num) / d, nil
 }
 
-// MeanOfRatios returns the mean of element-wise num[i]/den[i]. Samples must
-// have equal nonzero length and den must be nonzero element-wise.
-func MeanOfRatios(num, den []float64) (float64, error) {
-	if len(num) == 0 || len(num) != len(den) {
-		return 0, fmt.Errorf("stats: mismatched samples %d vs %d", len(num), len(den))
-	}
-	ratios := make([]float64, len(num))
-	for i := range num {
-		if den[i] == 0 {
-			return 0, fmt.Errorf("stats: zero denominator at index %d", i)
-		}
-		ratios[i] = num[i] / den[i]
-	}
-	return Mean(ratios), nil
-}
-
-// Improvement returns the relative saving of x over baseline:
-// (baseline-x)/baseline, e.g. 0.273 for "27.3% lower".
-func Improvement(x, baseline float64) float64 {
-	if baseline == 0 {
-		return 0
-	}
-	return (baseline - x) / baseline
-}
-
 // Gini returns the Gini coefficient of a nonnegative sample: 0 for
 // perfectly equal values, approaching 1 as one element dominates. It is
 // the fairness metric of the cost-sharing comparison. Negative inputs or
@@ -207,37 +173,4 @@ func Gini(xs []float64) (float64, error) {
 		return 0, errors.New("stats: Gini of all-zero sample")
 	}
 	return (2*cum)/(n*total) - (n+1)/n, nil
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [Min, Max].
-// Values equal to Max land in the last bin. It returns bin edges (nbins+1)
-// and counts (nbins). An empty sample or nbins < 1 yields an error.
-func Histogram(xs []float64, nbins int) (edges []float64, counts []int, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins < 1 {
-		return nil, nil, fmt.Errorf("stats: nbins %d < 1", nbins)
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1 // degenerate sample: single bin around the value
-	}
-	edges = make([]float64, nbins+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(nbins)
-	}
-	counts = make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts, nil
 }

@@ -45,8 +45,8 @@ func TestVarianceStdDev(t *testing.T) {
 
 func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 || Sum(xs) != 9 {
-		t.Errorf("Min/Max/Sum = %v/%v/%v", Min(xs), Max(xs), Sum(xs))
+	if Min(xs) != -1 || Max(xs) != 7 {
+		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
 	}
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Error("empty Min/Max should be ±Inf")
@@ -137,28 +137,6 @@ func TestRatioOfMeans(t *testing.T) {
 	}
 }
 
-func TestMeanOfRatios(t *testing.T) {
-	got, err := MeanOfRatios([]float64{1, 9}, []float64{2, 3})
-	if err != nil || !approx(got, (0.5+3)/2, 1e-12) {
-		t.Errorf("MeanOfRatios = %v, %v", got, err)
-	}
-	if _, err := MeanOfRatios([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, err := MeanOfRatios([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero denominator element should error")
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	if got := Improvement(72.7, 100); !approx(got, 0.273, 1e-12) {
-		t.Errorf("Improvement = %v, want 0.273", got)
-	}
-	if got := Improvement(5, 0); got != 0 {
-		t.Errorf("Improvement with zero baseline = %v, want 0", got)
-	}
-}
-
 func TestGini(t *testing.T) {
 	got, err := Gini([]float64{5, 5, 5, 5})
 	if err != nil || math.Abs(got) > 1e-12 {
@@ -188,40 +166,6 @@ func TestGini(t *testing.T) {
 	b, _ := Gini([]float64{1, 2, 3})
 	if !approx(a, b, 1e-12) {
 		t.Error("Gini not order-invariant")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	edges, counts, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 5, 5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("edges/counts lengths = %d/%d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 8 {
-		t.Errorf("histogram total = %d, want 8", total)
-	}
-	if counts[4] != 4 { // 4, 5, 5, 5 fall in the last bin [4,5]
-		t.Errorf("last bin = %d, want 4", counts[4])
-	}
-	if _, _, err := Histogram(nil, 3); !errors.Is(err, ErrEmpty) {
-		t.Error("empty histogram should return ErrEmpty")
-	}
-	if _, _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("nbins < 1 should error")
-	}
-	// Degenerate all-equal sample.
-	_, counts, err = Histogram([]float64{7, 7, 7}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 {
-		t.Errorf("degenerate histogram first bin = %d, want 3", counts[0])
 	}
 }
 
