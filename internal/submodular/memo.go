@@ -13,10 +13,8 @@ package submodular
 // f the memoized results are bit-identical to unmemoized evaluation.
 // It is not safe for concurrent use.
 type Memo struct {
-	f     Function
-	vals  map[Set]float64
-	calls int
-	hits  int
+	f    Function
+	vals map[Set]float64
 }
 
 // NewMemo wraps f in a fresh cache. Wrapping a *Memo returns it
@@ -34,20 +32,9 @@ func (m *Memo) N() int { return m.f.N() }
 // Eval implements Function, consulting the cache first.
 func (m *Memo) Eval(s Set) float64 {
 	if v, ok := m.vals[s]; ok {
-		m.hits++
 		return v
 	}
 	v := m.f.Eval(s)
 	m.vals[s] = v
-	m.calls++
 	return v
 }
-
-// Calls returns how many times the underlying Eval ran (cache misses).
-func (m *Memo) Calls() int { return m.calls }
-
-// Hits returns how many evaluations were answered from the cache.
-func (m *Memo) Hits() int { return m.hits }
-
-// Len returns the number of distinct sets cached.
-func (m *Memo) Len() int { return len(m.vals) }

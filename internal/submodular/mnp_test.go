@@ -1,10 +1,38 @@
 package submodular
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Minimize finds a minimizer of the submodular function f using the
+// Fujishige–Wolfe minimum-norm-point algorithm. It returns the minimizing
+// set and f's (unnormalized) value on it. The empty set is a valid answer.
+//
+// f is evaluated through a Memo, so each distinct set costs at most one
+// underlying Eval per call. f must be submodular; on non-submodular input
+// the result is undefined (but still a valid subset with its true value).
+func Minimize(f Function, opts Options) (Set, float64, error) {
+	o := opts.withDefaults()
+	n := f.N()
+	if n < 0 || n > 64 {
+		return 0, 0, fmt.Errorf("submodular: ground set size %d outside [0,64]", n)
+	}
+	if n == 0 {
+		return EmptySet, f.Eval(EmptySet), nil
+	}
+
+	mf := NewMemo(f)
+	base := mf.Eval(EmptySet)
+	g := func(s Set) float64 { return mf.Eval(s) - base } // g(∅) = 0
+	best, bestVal, err := minimizeNormalized(g, n, o, newWorkspace(n))
+	if err != nil {
+		return 0, 0, err
+	}
+	return best, bestVal + base, nil
+}
 
 // randSubmodular builds a random submodular function on n elements:
 // coeff·sqrt(|S|) + concave tariff of a random demand sum + modular weights
