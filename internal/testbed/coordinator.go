@@ -295,7 +295,7 @@ func (c *Coordinator) callRetry(jc *jsonConn, req Message) (Message, error) {
 // the CCS instance the scheduler will solve, using charger-advertised
 // parameters. Devices and chargers are indexed in lexicographic ID order
 // (not registration order), which the caller must keep for
-// ExecuteSchedule. Unresponsive devices are excluded; see
+// ExecuteScheduleWith. Unresponsive devices are excluded; see
 // CollectInstanceDetail for the accounting.
 func (c *Coordinator) CollectInstance() (*core.Instance, error) {
 	in, _, err := c.CollectInstanceDetail()
@@ -395,18 +395,11 @@ func (r *ExecutionReport) markFailed(id string) {
 	r.Failed = append(r.Failed, id)
 }
 
-// ExecuteSchedule dispatches the schedule: every coalition member is
+// ExecuteScheduleWith dispatches the schedule: every coalition member is
 // commanded to travel to its charger and charge; the charger bills the
 // session on the total measured purchased energy. Failed agents are
-// recorded in the report's Failed list instead of aborting the run; the
-// surviving members of a broken coalition are executed as originally
-// planned. Use ExecuteScheduleWith to re-plan them instead.
-func (c *Coordinator) ExecuteSchedule(in *core.Instance, sched *core.Schedule) (*ExecutionReport, error) {
-	return c.ExecuteScheduleWith(in, sched, nil)
-}
-
-// ExecuteScheduleWith is ExecuteSchedule with mid-execution re-planning:
-// when a coalition member fails its charge command, the coalition's
+// recorded in the report's Failed list instead of aborting the run.
+// When a coalition member fails its charge command, the coalition's
 // economics (the fee amortized across members) are broken, so the
 // not-yet-commanded members are pulled out and rescheduled onto resched
 // over the full charger set. Rescheduling repeats until a round completes

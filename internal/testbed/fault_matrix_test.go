@@ -71,10 +71,11 @@ func faultedTestbed(t *testing.T, plan FaultPlan, cfg Config, nDev int) *Coordin
 	})
 
 	start := func(id string, run func(conn net.Conn) (interface{ Close() error }, error)) {
-		conn, err := plan.Dial(coord.Addr(), id)
+		conn, err := net.Dial("tcp", coord.Addr())
 		if err != nil {
 			t.Fatalf("dial %s: %v", id, err)
 		}
+		conn = plan.Wrap(conn, id)
 		mu.Lock()
 		conns = append(conns, conn)
 		mu.Unlock()
@@ -379,9 +380,9 @@ func TestExecuteScheduleNilReschedulerContinuesCoalition(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := &core.Schedule{Coalitions: []core.Coalition{{Charger: 0, Members: []int{0, 1, 2}}}}
-	rep, err := coord.ExecuteSchedule(in, sched)
+	rep, err := coord.ExecuteScheduleWith(in, sched, nil)
 	if err != nil {
-		t.Fatalf("ExecuteSchedule: %v", err)
+		t.Fatalf("ExecuteScheduleWith: %v", err)
 	}
 	if !equalStrings(rep.Failed, []string{"d1"}) {
 		t.Errorf("Failed = %v, want [d1]", rep.Failed)

@@ -95,7 +95,7 @@ func TestRunTrialValidation(t *testing.T) {
 }
 
 // TestCollectInstanceIndexOrderSortedByID pins the device/charger index
-// order that ExecuteSchedule relies on: lexicographic by agent ID,
+// order that ExecuteScheduleWith relies on: lexicographic by agent ID,
 // regardless of registration order.
 func TestCollectInstanceIndexOrderSortedByID(t *testing.T) {
 	testutil.CheckGoroutines(t, "internal/testbed")
