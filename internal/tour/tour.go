@@ -7,16 +7,11 @@
 package tour
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/geom"
 )
-
-// ErrNoStops reports an empty stop list where at least one stop is
-// required (BruteForce). Plan treats zero stops as a valid idle tour.
-var ErrNoStops = errors.New("tour: no stops")
 
 // BadStopError reports a stop (or the start, Index == -1) with
 // non-finite coordinates. NaN poisons every distance comparison, so
@@ -178,46 +173,6 @@ func Plan(start geom.Point, stops []geom.Point) ([]int, float64, error) {
 	}
 	order := TwoOpt(start, stops, NearestNeighbor(start, stops))
 	return order, Length(start, stops, order), nil
-}
-
-// BruteForce finds the optimal visiting order by enumeration; factorial,
-// for tests and tiny tours only (≤ 10 stops). Unlike Plan it rejects an
-// empty stop list (ErrNoStops): an exact optimum over nothing is a caller
-// bug, not an idle tour.
-func BruteForce(start geom.Point, stops []geom.Point) ([]int, float64, error) {
-	n := len(stops)
-	if n == 0 {
-		return nil, 0, ErrNoStops
-	}
-	if n > 10 {
-		return nil, 0, errors.New("tour: brute force limited to 10 stops")
-	}
-	if err := validate(start, stops); err != nil {
-		return nil, 0, err
-	}
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-	}
-	best := append([]int(nil), cur...)
-	bestLen := Length(start, stops, cur)
-	var permute func(k int)
-	permute = func(k int) {
-		if k == n {
-			if l := Length(start, stops, cur); l < bestLen {
-				bestLen = l
-				copy(best, cur)
-			}
-			return
-		}
-		for i := k; i < n; i++ {
-			cur[k], cur[i] = cur[i], cur[k]
-			permute(k + 1)
-			cur[k], cur[i] = cur[i], cur[k]
-		}
-	}
-	permute(0)
-	return best, bestLen, nil
 }
 
 func reverse(xs []int) {

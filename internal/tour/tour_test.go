@@ -9,6 +9,50 @@ import (
 	"repro/internal/geom"
 )
 
+// ErrNoStops reports an empty stop list where at least one stop is
+// required (BruteForce). Plan treats zero stops as a valid idle tour.
+var ErrNoStops = errors.New("tour: no stops")
+
+// BruteForce finds the optimal visiting order by enumeration; factorial,
+// for tests and tiny tours only (≤ 10 stops). Unlike Plan it rejects an
+// empty stop list (ErrNoStops): an exact optimum over nothing is a caller
+// bug, not an idle tour.
+func BruteForce(start geom.Point, stops []geom.Point) ([]int, float64, error) {
+	n := len(stops)
+	if n == 0 {
+		return nil, 0, ErrNoStops
+	}
+	if n > 10 {
+		return nil, 0, errors.New("tour: brute force limited to 10 stops")
+	}
+	if err := validate(start, stops); err != nil {
+		return nil, 0, err
+	}
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	best := append([]int(nil), cur...)
+	bestLen := Length(start, stops, cur)
+	var permute func(k int)
+	permute = func(k int) {
+		if k == n {
+			if l := Length(start, stops, cur); l < bestLen {
+				bestLen = l
+				copy(best, cur)
+			}
+			return
+		}
+		for i := k; i < n; i++ {
+			cur[k], cur[i] = cur[i], cur[k]
+			permute(k + 1)
+			cur[k], cur[i] = cur[i], cur[k]
+		}
+	}
+	permute(0)
+	return best, bestLen, nil
+}
+
 func randStops(r *rand.Rand, n int) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -277,6 +321,38 @@ func BenchmarkTourPlanReference(b *testing.B) {
 		order = twoOptReference(start, stops, order)
 		if len(order) != len(stops) {
 			b.Fatal("bad order")
+		}
+	}
+}
+
+// TestGeneratedToursVisitEveryStopOnce is the package's core property:
+// every tour the planner can produce — nearest-neighbor, 2-opt-refined,
+// or the full Plan pipeline — visits each assigned service point exactly
+// once.
+func TestGeneratedToursVisitEveryStopOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + r.Intn(14)
+		stops := randStops(r, n)
+		start := geom.Pt(r.Float64()*100, r.Float64()*100)
+
+		nn := NearestNeighbor(start, stops)
+		opt := TwoOpt(start, stops, nn)
+		planned, _, err := Plan(start, stops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			order []int
+		}{
+			{"nearest-neighbor", nn},
+			{"two-opt", opt},
+			{"plan", planned},
+		} {
+			if !isPermutation(tc.order, n) {
+				t.Fatalf("trial %d: %s tour %v does not visit each of %d stops exactly once", trial, tc.name, tc.order, n)
+			}
 		}
 	}
 }
