@@ -1,58 +1,12 @@
-// Package forecast provides the small time-series estimators the
-// proactive charging policy uses to anticipate battery depletion:
-// exponentially weighted moving averages and Holt's linear (level +
-// trend) smoothing.
+// Package forecast provides the time-series estimator the proactive
+// charging policy uses to anticipate battery depletion: Holt's linear
+// (level + trend) smoothing.
 package forecast
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// Forecaster consumes observations one at a time and extrapolates.
-type Forecaster interface {
-	// Observe feeds the next value of the series.
-	Observe(v float64)
-	// Forecast extrapolates `steps` observations ahead (1 = next value).
-	Forecast(steps int) float64
-	// N returns the number of observations seen.
-	N() int
-}
-
-// EWMA is an exponentially weighted moving average: a flat forecaster for
-// series without trend.
-type EWMA struct {
-	alpha float64
-	level float64
-	n     int
-}
-
-var _ Forecaster = (*EWMA)(nil)
-
-// NewEWMA returns an EWMA with smoothing factor alpha ∈ (0, 1].
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("forecast: alpha %v outside (0,1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Observe implements Forecaster.
-func (e *EWMA) Observe(v float64) {
-	if e.n == 0 {
-		e.level = v
-	} else {
-		e.level += e.alpha * (v - e.level)
-	}
-	e.n++
-}
-
-// Forecast implements Forecaster: the EWMA forecast is flat.
-func (e *EWMA) Forecast(int) float64 { return e.level }
-
-// N implements Forecaster.
-func (e *EWMA) N() int { return e.n }
 
 // Holt is Holt's linear method: smoothed level plus smoothed trend,
 // extrapolating level + steps·trend.
@@ -63,8 +17,6 @@ type Holt struct {
 	trend float64
 	n     int
 }
-
-var _ Forecaster = (*Holt)(nil)
 
 // NewHolt returns a Holt forecaster with level smoothing alpha and trend
 // smoothing beta, both in (0, 1].
@@ -78,7 +30,7 @@ func NewHolt(alpha, beta float64) (*Holt, error) {
 	return &Holt{alpha: alpha, beta: beta}, nil
 }
 
-// Observe implements Forecaster.
+// Observe feeds the next value of the series.
 func (h *Holt) Observe(v float64) {
 	switch h.n {
 	case 0:
@@ -94,7 +46,7 @@ func (h *Holt) Observe(v float64) {
 	h.n++
 }
 
-// Forecast implements Forecaster.
+// Forecast extrapolates steps observations ahead (1 = next value).
 func (h *Holt) Forecast(steps int) float64 {
 	if steps < 0 {
 		steps = 0
@@ -102,38 +54,5 @@ func (h *Holt) Forecast(steps int) float64 {
 	return h.level + float64(steps)*h.trend
 }
 
-// N implements Forecaster.
+// N returns the number of observations seen.
 func (h *Holt) N() int { return h.n }
-
-// MAE returns the mean absolute error between two aligned series.
-func MAE(actual, predicted []float64) (float64, error) {
-	if len(actual) == 0 || len(actual) != len(predicted) {
-		return 0, errors.New("forecast: mismatched series")
-	}
-	var sum float64
-	for i := range actual {
-		sum += math.Abs(actual[i] - predicted[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
-// Backtest runs one-step-ahead forecasting over the series, starting once
-// the forecaster has seen warmup observations, and returns the MAE of the
-// predictions.
-func Backtest(f Forecaster, series []float64, warmup int) (float64, error) {
-	if warmup < 1 {
-		warmup = 1
-	}
-	if len(series) <= warmup {
-		return 0, fmt.Errorf("forecast: series of %d too short for warmup %d", len(series), warmup)
-	}
-	var actual, predicted []float64
-	for i, v := range series {
-		if i >= warmup {
-			predicted = append(predicted, f.Forecast(1))
-			actual = append(actual, v)
-		}
-		f.Observe(v)
-	}
-	return MAE(actual, predicted)
-}

@@ -2,50 +2,17 @@ package forecast
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
 func TestNewValidation(t *testing.T) {
 	for _, alpha := range []float64{0, -1, 1.5, math.NaN()} {
-		if _, err := NewEWMA(alpha); err == nil {
-			t.Errorf("NewEWMA(%v) accepted", alpha)
-		}
 		if _, err := NewHolt(alpha, 0.5); err == nil {
 			t.Errorf("NewHolt(alpha=%v) accepted", alpha)
 		}
 		if _, err := NewHolt(0.5, alpha); err == nil {
 			t.Errorf("NewHolt(beta=%v) accepted", alpha)
 		}
-	}
-}
-
-func TestEWMAConstantSeries(t *testing.T) {
-	e, err := NewEWMA(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		e.Observe(7)
-	}
-	if got := e.Forecast(5); math.Abs(got-7) > 1e-12 {
-		t.Errorf("Forecast = %v, want 7", got)
-	}
-	if e.N() != 20 {
-		t.Errorf("N = %d", e.N())
-	}
-}
-
-func TestEWMATracksShift(t *testing.T) {
-	e, _ := NewEWMA(0.5)
-	for i := 0; i < 10; i++ {
-		e.Observe(0)
-	}
-	for i := 0; i < 10; i++ {
-		e.Observe(10)
-	}
-	if got := e.Forecast(1); got < 9.9 {
-		t.Errorf("EWMA failed to track level shift: %v", got)
 	}
 }
 
@@ -68,46 +35,5 @@ func TestHoltExactOnLinearSeries(t *testing.T) {
 	}
 	if got := h.Forecast(-1); math.Abs(got-h.Forecast(0)) > 1e-12 {
 		t.Errorf("negative steps should clamp: %v", got)
-	}
-}
-
-func TestHoltBeatsEWMAOnTrend(t *testing.T) {
-	series := make([]float64, 40)
-	r := rand.New(rand.NewSource(5))
-	for i := range series {
-		series[i] = 50 + 2*float64(i) + r.NormFloat64()*0.5
-	}
-	h, _ := NewHolt(0.5, 0.3)
-	e, _ := NewEWMA(0.5)
-	maeH, err := Backtest(h, series, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maeE, err := Backtest(e, series, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maeH >= maeE {
-		t.Errorf("Holt MAE %v not better than EWMA %v on trending data", maeH, maeE)
-	}
-}
-
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if err != nil || math.Abs(got-1) > 1e-12 {
-		t.Errorf("MAE = %v, %v; want 1", got, err)
-	}
-	if _, err := MAE(nil, nil); err == nil {
-		t.Error("empty MAE should error")
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched MAE should error")
-	}
-}
-
-func TestBacktestValidation(t *testing.T) {
-	e, _ := NewEWMA(0.5)
-	if _, err := Backtest(e, []float64{1}, 1); err == nil {
-		t.Error("too-short series should error")
 	}
 }
