@@ -225,12 +225,6 @@ func AppendFloat64(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
-// AppendBytes appends p length-prefixed (uvarint length, then bytes).
-func AppendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 // AppendString appends s length-prefixed.
 func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -264,9 +258,6 @@ func (d *Decoder) Rest() []byte {
 	d.b = nil
 	return b
 }
-
-// Len reports how many bytes remain.
-func (d *Decoder) Len() int { return len(d.b) }
 
 // Done returns the sticky error, or ErrTrailing if undecoded bytes
 // remain — messages must consume their payload exactly.

