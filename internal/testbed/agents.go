@@ -26,7 +26,8 @@ type AgentConfig struct {
 	// HandshakeTimeout bounds the registration round trip; 0 = no deadline.
 	HandshakeTimeout time.Duration
 	// Conn, when non-nil, is used instead of dialing — the entry point for
-	// fault injection (wrap with NewFaultConn) and in-memory transports.
+	// fault injection (the tests wrap it with NewFaultConn) and in-memory
+	// transports.
 	Conn net.Conn
 }
 
