@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/instcache"
 	"repro/internal/router"
 	"repro/internal/wire"
 )
@@ -179,32 +180,68 @@ func oneShot(t testing.TB, addr string, line []byte) []byte {
 }
 
 // TestRouterFleetAffinity proves repeats land on the replica that
-// solved them: with two cold backends, the second solve of every
-// instance must come back "cached":true — only the backend that ran the
-// first solve has it in its byte cache, so a repeat that strayed to the
-// other backend would come back uncached.
+// solved them. Three instances owned by each of two cold backends are
+// solved twice each: every solve must reach its ring owner and no other
+// backend, and the second solve of every instance must come back
+// "cached":true — only the backend that ran the first solve has it in
+// its byte cache, so a repeat that strayed would come back uncached.
 func TestRouterFleetAffinity(t *testing.T) {
 	srvs, _, addrs := startFleet(t, 2, serveOpts{cacheSize: 64})
 	rt, routerAddr := startFleetRouter(t, router.Config{Backends: addrs, CacheSize: 0})
 
-	cached := []byte(`"cached":true`)
-	for seed := 0; seed < 6; seed++ {
-		line := solveLine(t, serveInstance(12, float64(seed)), "CCSA")
-		// Separate connections per request: affinity must come from the
-		// ring, not connection reuse.
-		first := oneShot(t, routerAddr, line)
-		if bytes.Contains(first, cached) || bytes.Contains(first, []byte(`"error"`)) {
-			t.Fatalf("seed %d: unexpected first response %s", seed, first)
+	// The ring hashes backend addresses, whose ports the kernel picks, so
+	// the instances are chosen by owner rather than fixed.
+	var lines [][]byte
+	var owners []int
+	perOwner := make([]int, len(srvs))
+	for seed := 0; len(lines) < 3*len(srvs); seed++ {
+		if seed == 200 {
+			t.Fatalf("200 instances did not give 3 per backend: %v", perOwner)
 		}
-		second := oneShot(t, routerAddr, line)
-		if !bytes.Contains(second, cached) {
-			t.Fatalf("seed %d: repeat missed its replica's cache: %s", seed, second)
+		in := serveInstance(12, float64(seed))
+		key, err := instcache.KeyFor(in, "CCSA", "")
+		if err != nil {
+			t.Fatal(err)
 		}
+		owner := rt.OwnerOf(key)
+		if owner < 0 {
+			t.Fatal("no live owner")
+		}
+		if perOwner[owner] == 3 {
+			continue
+		}
+		perOwner[owner]++
+		lines = append(lines, solveLine(t, in, "CCSA"))
+		owners = append(owners, owner)
 	}
-	// The ring should have spread six instances across both backends.
-	if srvs[0].requests.Load() == 0 || srvs[1].requests.Load() == 0 {
-		t.Fatalf("one backend starved: %d vs %d solves",
-			srvs[0].requests.Load(), srvs[1].requests.Load())
+
+	cached := []byte(`"cached":true`)
+	for i, line := range lines {
+		for round := 0; round < 2; round++ {
+			before := make([]uint64, len(srvs))
+			for b, srv := range srvs {
+				before[b] = srv.requests.Load()
+			}
+			// Separate connections per request: affinity must come from
+			// the ring, not connection reuse.
+			resp := oneShot(t, routerAddr, line)
+			for b, srv := range srvs {
+				want := before[b]
+				if b == owners[i] {
+					want++
+				}
+				if got := srv.requests.Load(); got != want {
+					t.Fatalf("instance %d solve %d: backend %d served %d requests, want %d (owner %d)",
+						i, round+1, b, got, want, owners[i])
+				}
+			}
+			if round == 0 && (bytes.Contains(resp, cached) || bytes.Contains(resp, []byte(`"error"`))) {
+				t.Fatalf("instance %d: unexpected first response %s", i, resp)
+			}
+			if round == 1 && !bytes.Contains(resp, cached) {
+				t.Fatalf("instance %d: repeat missed its replica's cache: %s", i, resp)
+			}
+		}
 	}
 	if got := rt.Snapshot().Requests; got != 12 {
 		t.Fatalf("router counted %d requests, want 12", got)

@@ -210,6 +210,13 @@ func New(cfg Config) (*Router, error) {
 // alive reports backend liveness for ring lookups.
 func (rt *Router) alive(i int) bool { return rt.backends[i].healthy.Load() }
 
+// OwnerOf returns the index in Config.Backends of the live backend that
+// owns the fingerprint on the ring, or -1 when no backend is healthy. A
+// solve of the key goes there first; a register pins its session there.
+func (rt *Router) OwnerOf(key instcache.Key) int {
+	return rt.ring.owner(keyHash(key.Sum), rt.alive)
+}
+
 // routeRequest is the envelope slice of a JSON request the router needs
 // for a routing decision; everything else passes through untouched.
 type routeRequest struct {
@@ -432,7 +439,7 @@ func (rt *Router) sessionLine(line []byte, req routeRequest, sessionBackend **ba
 		if err != nil {
 			return rt.failLine(err.Error())
 		}
-		owner := rt.ring.owner(keyHash(key.Sum), rt.alive)
+		owner := rt.OwnerOf(key)
 		if owner < 0 {
 			return rt.failLine("no healthy backend")
 		}

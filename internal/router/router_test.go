@@ -187,9 +187,8 @@ func lineKey(t *testing.T, seed int64) instcache.Key {
 // backend index owns on the router's ring.
 func seedOwnedBy(t *testing.T, rt *Router, want int) int64 {
 	t.Helper()
-	all := func(int) bool { return true }
 	for seed := int64(1); seed < 64; seed++ {
-		if rt.ring.owner(keyHash(lineKey(t, seed).Sum), all) == want {
+		if rt.OwnerOf(lineKey(t, seed)) == want {
 			return seed
 		}
 	}
