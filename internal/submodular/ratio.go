@@ -40,7 +40,7 @@ func MinimizeRatio(f Function, opts Options) (Set, float64, error) {
 	}
 
 	ws := newWorkspace(n)
-	base := mf.Eval(EmptySet) // 0 by contract; subtracted to mirror Minimize exactly
+	base := mf.Eval(EmptySet) // 0 by contract; subtracted to mirror the plain SFM path (Minimize, in the tests) exactly
 	scale := math.Max(math.Abs(bestRatio), 1)
 	for iter := 0; iter < o.MaxIter; iter++ {
 		lambda := bestRatio
