@@ -118,7 +118,9 @@ func seededGame(cm *CostModel, opts CCSGAOptions) (*chargerGame, error) {
 	if init != nil {
 		err = g.validateInit(init)
 	} else {
-		init, err = seedSlots(cm, g.chargerOf, g.firstSlot, nil)
+		// The cold start is seeded straight into cur; reset reads it in
+		// place.
+		init, err = seedSlots(cm, g.chargerOf, g.firstSlot, nil, g.cur)
 	}
 	if err != nil {
 		g.release()
@@ -138,7 +140,8 @@ func (g *chargerGame) run(seed int64, maxPasses int) (switches, passes int, conv
 	if seed != 0 {
 		r = rand.New(rand.NewSource(seed))
 	}
-	order := make([]int, n)
+	order := resize(g.order, n)
+	g.order = order
 	for i := range order {
 		order[i] = i
 	}
@@ -245,17 +248,34 @@ func (g *chargerGame) isNash() bool {
 }
 
 // assignmentSchedule converts a device→charger assignment into a
-// Schedule with one coalition per patronized charger.
-func assignmentSchedule(assign []int, numChargers int) *Schedule {
-	members := make([][]int, numChargers)
-	for i, j := range assign {
-		members[j] = append(members[j], i) // ascending: i iterates in order
+// Schedule with one coalition per patronized charger; start is scratch
+// of one entry more than there are chargers. Every member list is a
+// slice of one flat array, capped at its own length so an append to one
+// cannot write into the next, and sorted ascending.
+func assignmentSchedule(assign, start []int) *Schedule {
+	// Count each charger's members into start[j+1], then turn the counts
+	// into prefix sums: charger j's members fill flat[start[j]:start[j+1]].
+	clear(start)
+	for _, j := range assign {
+		start[j+1]++
 	}
-	s := &Schedule{}
-	for j, ms := range members {
-		if len(ms) > 0 {
-			s.Coalitions = append(s.Coalitions, Coalition{Charger: j, Members: ms})
+	used := 0
+	for j := 1; j < len(start); j++ {
+		if start[j] > 0 {
+			used++
 		}
+		start[j] += start[j-1]
+	}
+	flat := make([]int, len(assign))
+	s := &Schedule{Coalitions: make([]Coalition, 0, used)}
+	for j := 0; j+1 < len(start); j++ {
+		if lo, hi := start[j], start[j+1]; lo < hi {
+			s.Coalitions = append(s.Coalitions, Coalition{Charger: j, Members: flat[lo:hi:hi]})
+		}
+	}
+	for i, j := range assign {
+		flat[start[j]] = i // ascending: i iterates in order
+		start[j]++
 	}
 	return s
 }
@@ -322,6 +342,8 @@ type chargerGame struct {
 	routeLen     []float64
 	tourScratch  []int     // planWith's reusable hypothetical member list
 	boundScratch []float64 // shareBounds' per-slot row under capacities
+	order        []int     // run's visiting order
+	slotStart    []int     // schedule's per-slot scratch
 
 	pds bool // scheme is PDS (otherwise ESS semantics)
 
@@ -356,9 +378,7 @@ type sessionTerm struct {
 // gets no chord (see chordBound).
 type chordEnd struct{ x, px float64 }
 
-// joinMemo is the n×slots table of hypothetical-join shares. A game
-// discarded after its solve returns its table to memoPool, so
-// back-to-back solves reuse one buffer instead of allocating one each.
+// joinMemo is the n×slots table of hypothetical-join shares.
 type joinMemo struct {
 	share []float64
 	stamp []uint32
@@ -369,16 +389,19 @@ type joinMemo struct {
 // is only a cache: past the cap every join share is recomputed.
 const maxJoinMemo = 1 << 22
 
-// maxPooledMemo keeps one oversized solve from pinning its buffer in
-// memoPool for every later, smaller solve.
-const maxPooledMemo = 1 << 16
+// maxPooledEntries keeps one oversized solve from pinning its buffers in
+// a pool for every later, smaller solve: a game whose join memo, or a
+// cost model whose move table, has more entries is not pooled.
+const maxPooledEntries = 1 << 16
 
-var memoPool sync.Pool // of *joinMemo
+// memoPool recycles discarded games — their join memos and every other
+// buffer they play on — so back-to-back solves reuse one set of buffers
+// instead of allocating their own. A pooled game holds no model.
+var memoPool sync.Pool // of *chargerGame
 
-// newJoinMemo returns an all-invalid memo of size entries, recycling a
-// pooled buffer when one is large enough.
-func newJoinMemo(size int) *joinMemo {
-	m, _ := memoPool.Get().(*joinMemo)
+// newJoinMemo returns an all-invalid memo of size entries, recycling m
+// when it is large enough.
+func newJoinMemo(m *joinMemo, size int) *joinMemo {
 	// Both capacities: deviceAdded grows the two buffers by separate
 	// appends, which round to different size classes.
 	if m == nil || cap(m.share) < size || cap(m.stamp) < size {
@@ -396,12 +419,19 @@ func newJoinMemo(size int) *joinMemo {
 // capacity⌉ slots (at most one per device). Use it to build a
 // CCSGAOptions.Init seed by hand.
 func SessionSlots(cm *CostModel) (chargerOf, firstSlot []int) {
+	return sessionSlots(cm, nil, nil)
+}
+
+// sessionSlots is SessionSlots building into the given buffers' arrays
+// where they are large enough.
+func sessionSlots(cm *CostModel, chargerOf, firstSlot []int) ([]int, []int) {
 	in := cm.Instance()
 	var totalDemand float64
 	for _, d := range in.Devices {
 		totalDemand += d.Demand
 	}
-	firstSlot = make([]int, len(in.Chargers))
+	chargerOf = chargerOf[:0]
+	firstSlot = resize(firstSlot, len(in.Chargers))
 	for j, ch := range in.Chargers {
 		firstSlot[j] = len(chargerOf)
 		slots := 1
@@ -422,59 +452,89 @@ func SessionSlots(cm *CostModel) (chargerOf, firstSlot []int) {
 	return chargerOf, firstSlot
 }
 
+// newChargerGame builds the game for cm under scheme on the buffers of a
+// game from memoPool when there is one: every buffer is resized and
+// rewritten, so nothing of the game that last used them survives.
 func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
-	g := &chargerGame{cm: cm, scheme: scheme, in: cm.Instance()}
+	var pds bool
 	switch scheme.(type) {
 	case PDS:
-		g.pds = true
+		pds = true
 	case ESS:
-		g.pds = false
 	default:
 		return nil, fmt.Errorf("ccsga: unsupported sharing scheme %q", scheme.Name())
 	}
-	g.chargerOf, g.firstSlot = SessionSlots(cm)
-	n := len(g.chargerOf)
-	g.allSlots = make([]int, n)
+	g, _ := memoPool.Get().(*chargerGame)
+	if g == nil {
+		g = new(chargerGame)
+	}
+	old := *g
+	chargerOf, firstSlot := sessionSlots(cm, old.chargerOf, old.firstSlot)
+	slots, n := len(chargerOf), cm.NumDevices()
+	*g = chargerGame{
+		cm:           cm,
+		scheme:       scheme,
+		in:           cm.Instance(),
+		pds:          pds,
+		chargerOf:    chargerOf,
+		firstSlot:    firstSlot,
+		allSlots:     resize(old.allSlots, slots),
+		cur:          resize(old.cur, n),
+		count:        resize(old.count, slots),
+		purchased:    resize(old.purchased, slots),
+		moveSum:      resize(old.moveSum, slots),
+		sigmaSum:     resize(old.sigmaSum, slots),
+		sigma:        resize(old.sigma, n),
+		slotMembers:  old.slotMembers,
+		routeLen:     old.routeLen,
+		tourScratch:  old.tourScratch[:0],
+		boundScratch: old.boundScratch[:0],
+		order:        old.order,
+		slotStart:    old.slotStart,
+		slotEpoch:    resize(old.slotEpoch, slots),
+		term:         resize(old.term, slots),
+		chord:        resize(old.chord, len(cm.Instance().Chargers)),
+	}
 	for s := range g.allSlots {
 		g.allSlots[s] = s
+		g.slotEpoch[s] = 2
 	}
-	g.count = make([]int, n)
-	g.purchased = make([]float64, n)
-	g.moveSum = make([]float64, n)
-	g.sigmaSum = make([]float64, n)
-	g.cur = make([]int, cm.NumDevices())
-	g.sigma = make([]float64, cm.NumDevices())
+	clear(g.count)
+	clear(g.purchased)
+	clear(g.moveSum)
+	clear(g.sigmaSum)
+	clear(g.term) // stamp 0 is never valid
+	clear(g.chord)
 	for i := range g.sigma {
 		g.sigma[i], _ = cm.StandaloneCost(i)
 	}
 	if cm.HasMobility() {
 		g.mobility = true
-		g.slotMembers = make([][]int, n)
-		g.routeLen = make([]float64, n)
+		g.slotMembers = resize(g.slotMembers, slots)
+		for s := range g.slotMembers {
+			g.slotMembers[s] = g.slotMembers[s][:0]
+		}
+		g.routeLen = resize(g.routeLen, slots)
+		clear(g.routeLen)
 	}
-	g.slotEpoch = make([]uint32, n)
-	for s := range g.slotEpoch {
-		g.slotEpoch[s] = 2
-	}
-	g.term = make([]sessionTerm, n)
-	g.chord = make([]chordEnd, len(g.in.Chargers))
 	g.sizeChords()
-	if size := cm.NumDevices() * n; size <= maxJoinMemo {
-		g.memo = newJoinMemo(size)
+	if size := n * slots; size <= maxJoinMemo {
+		g.memo = newJoinMemo(old.memo, size)
 	}
 	return g, nil
 }
 
-// release hands the game's join memo back to memoPool; the game must
-// not be played afterwards. Nil-safe, and a no-op after the first call.
+// release hands the game, with every buffer it plays on, back to memoPool
+// for the next game to reuse; the game must not be touched afterwards.
+// Nil-safe.
 func (g *chargerGame) release() {
-	if g == nil || g.memo == nil {
+	if g == nil || g.cm == nil {
 		return
 	}
-	if max(cap(g.memo.share), cap(g.memo.stamp)) <= maxPooledMemo {
-		memoPool.Put(g.memo)
+	g.cm, g.in, g.scheme = nil, nil, nil
+	if m := g.memo; m != nil && max(cap(m.share), cap(m.stamp)) <= maxPooledEntries {
+		memoPool.Put(g)
 	}
-	g.memo = nil
 }
 
 // invalidate makes every cached share of slot s stale. join, leave and
@@ -586,7 +646,8 @@ func (g *chargerGame) validateInit(init []int) error {
 // schedule converts the installed device→slot assignment into a Schedule
 // with one coalition per occupied slot, in slot order.
 func (g *chargerGame) schedule() *Schedule {
-	s := assignmentSchedule(g.cur, len(g.chargerOf))
+	g.slotStart = resize(g.slotStart, len(g.chargerOf)+1)
+	s := assignmentSchedule(g.cur, g.slotStart)
 	for k := range s.Coalitions {
 		c := &s.Coalitions[k]
 		c.Charger = g.chargerOf[c.Charger]

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -161,11 +162,12 @@ func TestChordSkipMatchesPlainPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.release()
 			if nash := bruteForceNash(g); res.NashStable != nash {
 				t.Fatalf("trial %d: NashStable = %v, brute-force referee says %v", trial, res.NashStable, nash)
 			}
-			return ccsgaOutcome{res: res, assign: g.cur}, *calls
+			assign := slices.Clone(g.cur)
+			g.release()
+			return ccsgaOutcome{res: res, assign: assign}, *calls
 		}
 		metered := func(c countingTariff) pricing.Tariff { return meteredTariff{c} }
 		hide := func(c countingTariff) pricing.Tariff { return c }

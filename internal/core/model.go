@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/pricing"
@@ -235,8 +236,11 @@ func (s *Schedule) MergeSameCharger() {
 // must not race with readers, so synchronize mutation externally.
 type CostModel struct {
 	inst *Instance
-	// move[i][j] is device i's travel cost to charger j, $.
+	// move[i][j] is device i's travel cost to charger j, $. The rows
+	// built at construction are slices of flat; rows AddDevice appends
+	// have their own arrays.
 	move [][]float64
+	flat []float64
 	// standalone[i] is device i's cheapest singleton session cost, $.
 	standalone []float64
 	// standaloneCharger[i] is the charger attaining standalone[i].
@@ -280,17 +284,30 @@ func (cm *CostModel) setListener(l mutationListener) { cm.listener = l }
 // tariff gets its lower envelope over the largest single-device purchase
 // there, so standaloneFor prices the tariff only where it can win.
 func NewCostModel(in *Instance) (*CostModel, error) {
-	if err := in.Validate(); err != nil {
+	cm := new(CostModel)
+	if err := cm.build(in); err != nil {
 		return nil, err
 	}
+	return cm, nil
+}
+
+// build validates in and fills cm's tables for it, reusing the backing
+// arrays cm already holds where they are large enough (SolveOnce's pooled
+// models); every entry is rewritten, and every other field reset.
+func (cm *CostModel) build(in *Instance) error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
 	n, m := len(in.Devices), len(in.Chargers)
-	cm := &CostModel{
+	old := *cm
+	*cm = CostModel{
 		inst:              in,
-		move:              make([][]float64, n),
-		standalone:        make([]float64, n),
-		standaloneCharger: make([]int, n),
-		env:               make([]pricing.Envelope, m),
-		bound:             make([]float64, m),
+		flat:              resize(old.flat, n*m),
+		move:              resize(old.move, n),
+		standalone:        resize(old.standalone, n),
+		standaloneCharger: resize(old.standaloneCharger, n),
+		env:               resize(old.env, m),
+		bound:             resize(old.bound, m),
 	}
 	// Envelope grids span [0, the largest single-device purchase]; a
 	// device added later with a larger demand falls above the grid,
@@ -309,14 +326,54 @@ func NewCostModel(in *Instance) (*CostModel, error) {
 		}
 		cm.env[j] = pricing.NewEnvelope(c.Tariff, maxDemand/c.Efficiency)
 	}
-	flat := make([]float64, n*m)
 	for i, d := range in.Devices {
-		row := flat[i*m : (i+1)*m : (i+1)*m]
+		row := cm.flat[i*m : (i+1)*m : (i+1)*m]
 		cm.fillMove(d, row)
 		cm.move[i] = row
 		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(d, row)
 	}
-	return cm, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// modelPool recycles the tables of SolveOnce's cost models; a pooled
+// model holds no instance.
+var modelPool sync.Pool // of *CostModel
+
+// SolveOnce builds the cost model for in, runs sched on it and totals the
+// schedule's cost — NewCostModel, Schedule and TotalCost in one call, for
+// a caller that keeps only the schedule and its cost. The model's tables
+// come from a pool and go back to it before SolveOnce returns, so
+// back-to-back stateless solves reuse one set instead of allocating their
+// own; the model never reaches the caller. sched must not keep the model
+// past its Schedule call, which every Scheduler in this package honours.
+func SolveOnce(in *Instance, sched Scheduler) (*Schedule, float64, error) {
+	cm, _ := modelPool.Get().(*CostModel)
+	if cm == nil {
+		cm = new(CostModel)
+	}
+	defer func() {
+		cm.inst = nil
+		if cap(cm.flat) <= maxPooledEntries {
+			modelPool.Put(cm)
+		}
+	}()
+	if err := cm.build(in); err != nil {
+		return nil, 0, err
+	}
+	plan, err := sched.Schedule(cm)
+	if err != nil {
+		return nil, 0, err
+	}
+	return plan, cm.TotalCost(plan), nil
 }
 
 // fillMove writes device d's moving cost to every charger into row.

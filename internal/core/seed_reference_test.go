@@ -115,7 +115,7 @@ func TestColdSeedMatchesReferencePacker(t *testing.T) {
 					t.Fatal(err)
 				}
 				want, wantErr := g.initialAssignment()
-				cold, coldErr := seedSlots(cm, g.chargerOf, g.firstSlot, nil)
+				cold, coldErr := seedSlots(cm, g.chargerOf, g.firstSlot, nil, nil)
 				seed0, seedErr := NewWarmStart().Seed(cm)
 				g.release()
 				compared++

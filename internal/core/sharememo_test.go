@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -173,11 +174,12 @@ func solveBothPaths(t *testing.T, in *Instance, opts CCSGAOptions) (fast, plain 
 			t.Fatal(err)
 		}
 		prices := *calls
-		g.release()
 		if nash := bruteForceNash(g); res.NashStable != nash {
 			t.Fatalf("NashStable = %v, brute-force referee says %v", res.NashStable, nash)
 		}
-		return ccsgaOutcome{res: res, assign: g.cur, prices: prices}
+		assign := slices.Clone(g.cur)
+		g.release()
+		return ccsgaOutcome{res: res, assign: assign, prices: prices}
 	}
 	return run(ccsgaSolve), run(plainSolve)
 }
@@ -476,7 +478,7 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil)
+		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -579,7 +581,7 @@ func TestShareMemoExactAcrossLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil)
+		init, err := seedSlots(cm, g.chargerOf, g.firstSlot, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,8 +641,7 @@ func TestShareMemoPoolConcurrentSolves(t *testing.T) {
 // apart (repair's deviceAdded appends to each separately): reuse must
 // check both capacities rather than slice the shorter one out of range.
 func TestJoinMemoReuseChecksBothBuffers(t *testing.T) {
-	memoPool.Put(&joinMemo{share: make([]float64, 0, 128), stamp: make([]uint32, 0, 120)})
-	m := newJoinMemo(128)
+	m := newJoinMemo(&joinMemo{share: make([]float64, 0, 128), stamp: make([]uint32, 0, 120)}, 128)
 	if len(m.share) != 128 || len(m.stamp) != 128 {
 		t.Fatalf("memo lengths %d/%d, want 128", len(m.share), len(m.stamp))
 	}

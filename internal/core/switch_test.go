@@ -136,7 +136,7 @@ func TestShareBoundSkipsWithoutChangingResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.release() // no memo: the bound is the only shortcut left
+			g.memo = nil // no memo: the bound is the only shortcut left
 			*calls = 0
 			var o outcome
 			o.switches, o.passes, o.converged = run(g)
@@ -189,7 +189,7 @@ func TestJoinShareMatchesRealizedShare(t *testing.T) {
 }
 
 func TestAssignmentSchedule(t *testing.T) {
-	got := assignmentSchedule([]int{0, 2, 0, 1, 2}, 4)
+	got := assignmentSchedule([]int{0, 2, 0, 1, 2}, make([]int, 5))
 	want := &Schedule{Coalitions: []Coalition{
 		{Charger: 0, Members: []int{0, 2}},
 		{Charger: 1, Members: []int{3}},

@@ -63,7 +63,7 @@ func (w *WarmStart) Record(in *Instance, s *Schedule) {
 // carrier yields exactly the cold start every CCSGA solve begins from.
 func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 	chargerOf, firstSlot := SessionSlots(cm)
-	init, err := seedSlots(cm, chargerOf, firstSlot, w.charger)
+	init, err := seedSlots(cm, chargerOf, firstSlot, w.charger, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -71,11 +71,12 @@ func (w *WarmStart) Seed(cm *CostModel) ([]int, error) {
 }
 
 // seedSlots is Seed over a given session-slot layout, with carrier
-// mapping device IDs to their remembered chargers. A nil carrier is the
-// cold start: every device targets its standalone charger.
-func seedSlots(cm *CostModel, chargerOf, firstSlot []int, carrier map[string]int) ([]int, error) {
+// mapping device IDs to their remembered chargers, writing the seed into
+// dst's array when it is large enough. A nil carrier is the cold start:
+// every device targets its standalone charger.
+func seedSlots(cm *CostModel, chargerOf, firstSlot []int, carrier map[string]int, dst []int) ([]int, error) {
 	in := cm.Instance()
-	init := make([]int, cm.NumDevices())
+	init := resize(dst, cm.NumDevices())
 	target := func(i int) int {
 		if j, ok := carrier[in.Devices[i].ID]; ok && j >= 0 && j < len(firstSlot) {
 			return j

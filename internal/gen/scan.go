@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -36,6 +37,33 @@ import (
 type scanner struct {
 	data []byte
 	pos  int
+	// ids holds every agent ID read so far, back to back; devIDs[i] and
+	// chIDs[j] locate device i's and charger j's ID in it. Once the
+	// instance is read, every ID becomes a substring of one string built
+	// from ids: one allocation per instance, not one per agent.
+	ids    []byte
+	devIDs []idSpan
+	chIDs  []idSpan
+}
+
+// idSpan is one agent's ID as the byte range ids[lo:hi].
+type idSpan struct{ lo, hi int }
+
+// scanners recycles the scanners' ID buffers across documents.
+var scanners = sync.Pool{New: func() any { return new(scanner) }}
+
+// newScanner returns a pooled scanner over data; put hands it back.
+func newScanner(data []byte) *scanner {
+	s := scanners.Get().(*scanner)
+	s.data, s.pos = data, 0
+	s.ids, s.devIDs, s.chIDs = s.ids[:0], s.devIDs[:0], s.chIDs[:0]
+	return s
+}
+
+// put returns s to the pool; it must not be used afterwards.
+func (s *scanner) put() {
+	s.data = nil
+	scanners.Put(s)
 }
 
 // ws skips JSON whitespace.
@@ -310,12 +338,11 @@ func (s *scanner) float(dst *float64) bool {
 
 var instanceKeys = []string{"fieldSide", "devices", "chargers"}
 
-// instance reads an instance object.
-func (s *scanner) instance() (*core.Instance, bool) {
-	var (
-		side float64
-		in   core.Instance
-	)
+// instance reads an instance object into in, appending its devices and
+// chargers to in's arrays from length zero.
+func (s *scanner) instance(in *core.Instance) (*core.Instance, bool) {
+	var side float64
+	in.Devices, in.Chargers = in.Devices[:0], in.Chargers[:0]
 	ok := s.object(instanceKeys, func(k int) bool {
 		switch k {
 		case 0:
@@ -330,7 +357,21 @@ func (s *scanner) instance() (*core.Instance, bool) {
 		return nil, false
 	}
 	in.Field = geom.Square(side)
-	return &in, true
+	// An absent or empty array decodes to nil, as in the reference.
+	if len(in.Devices) == 0 {
+		in.Devices = nil
+	}
+	if len(in.Chargers) == 0 {
+		in.Chargers = nil
+	}
+	all := string(s.ids)
+	for i, id := range s.devIDs {
+		in.Devices[i].ID = all[id.lo:id.hi]
+	}
+	for j, id := range s.chIDs {
+		in.Chargers[j].ID = all[id.lo:id.hi]
+	}
+	return in, true
 }
 
 var deviceKeys = []string{"id", "x", "y", "demandJ", "moveRatePerM"}
@@ -338,15 +379,17 @@ var deviceKeys = []string{"id", "x", "y", "demandJ", "moveRatePerM"}
 func (s *scanner) device(dst *[]core.Device) bool {
 	var d core.Device
 	floats := [...]*float64{1: &d.Pos.X, 2: &d.Pos.Y, 3: &d.Demand, 4: &d.MoveRate}
+	lo := len(s.ids)
 	ok := s.object(deviceKeys, func(k int) bool {
 		if k == 0 {
 			id, ok := s.str()
-			d.ID = string(id)
+			s.ids = append(s.ids, id...)
 			return ok
 		}
 		return s.float(floats[k])
 	})
 	*dst = append(*dst, d)
+	s.devIDs = append(s.devIDs, idSpan{lo, len(s.ids)})
 	return ok
 }
 
@@ -357,13 +400,14 @@ func (s *scanner) charger(dst *[]core.Charger) bool {
 	var c core.Charger
 	floats := [...]*float64{1: &c.Pos.X, 2: &c.Pos.Y, 3: &c.Fee, 5: &c.Efficiency, 6: &c.Capacity,
 		8: &c.MoveRate, 9: &c.Speed, 10: &c.TravelBudget, 11: &c.Depot.X, 12: &c.Depot.Y}
+	lo := len(s.ids)
 	ok := s.object(chargerKeys, func(k int) bool {
 		var ok bool
 		switch k {
 		case 0:
 			var id []byte
 			id, ok = s.str()
-			c.ID = string(id)
+			s.ids = append(s.ids, id...)
 		case 4:
 			c.Tariff, ok = s.tariff()
 		case 7:
@@ -376,6 +420,7 @@ func (s *scanner) charger(dst *[]core.Charger) bool {
 	// A charger without a tariff decodes to kind "" in the reference,
 	// which rejects it: not mine.
 	*dst = append(*dst, c)
+	s.chIDs = append(s.chIDs, idSpan{lo, len(s.ids)})
 	return ok && c.Tariff != nil
 }
 
@@ -411,12 +456,31 @@ func (s *scanner) tariff() (pricing.Tariff, bool) {
 
 // scanInstance decodes a whole document holding one instance object.
 func scanInstance(data []byte) (*core.Instance, bool) {
-	s := scanner{data: data}
-	in, ok := s.instance()
+	s := newScanner(data)
+	defer s.put()
+	in, ok := s.instance(new(core.Instance))
 	if !ok || !s.end() {
 		return nil, false
 	}
 	return in, true
+}
+
+// instances recycles ScanSolveRequest's instances, with their device and
+// charger arrays.
+var instances sync.Pool // of *core.Instance
+
+// maxPooledAgents keeps one huge request from pinning its arrays in the
+// pool for every later, smaller one.
+const maxPooledAgents = 1 << 16
+
+// ReleaseInstance hands an instance ScanSolveRequest returned back for a
+// later ScanSolveRequest to decode into. The caller must not touch the
+// instance or its arrays afterwards; its agent IDs are immutable strings
+// and stay valid.
+func ReleaseInstance(in *core.Instance) {
+	if cap(in.Devices)+cap(in.Chargers) <= maxPooledAgents {
+		instances.Put(in)
+	}
 }
 
 var solveKeys = []string{"instance", "scheduler"}
@@ -428,13 +492,22 @@ var solveKeys = []string{"instance", "scheduler"}
 // every other request verb: the caller then decodes the line with
 // encoding/json, which yields the same request whenever ok would have
 // been true.
+//
+// The instance's device and charger arrays are recycled from instances
+// handed to ReleaseInstance; a caller that keeps the instance simply never
+// releases it.
 func ScanSolveRequest(line []byte) (in *core.Instance, scheduler string, ok bool) {
-	s := scanner{data: line}
+	s := newScanner(line)
+	defer s.put()
+	dst, _ := instances.Get().(*core.Instance)
+	if dst == nil {
+		dst = new(core.Instance)
+	}
 	var name []byte
 	ok = s.object(solveKeys, func(k int) bool {
 		if k == 0 {
 			var ok bool
-			in, ok = s.instance()
+			in, ok = s.instance(dst)
 			return ok
 		}
 		var ok bool
@@ -442,6 +515,7 @@ func ScanSolveRequest(line []byte) (in *core.Instance, scheduler string, ok bool
 		return ok
 	})
 	if !ok || in == nil || !s.end() {
+		ReleaseInstance(dst)
 		return nil, "", false
 	}
 	return in, string(name), true

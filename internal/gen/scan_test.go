@@ -169,3 +169,60 @@ func BenchmarkParseInstance(b *testing.B) {
 		})
 	}
 }
+
+// TestScanSolveRequestRecycles decodes solve lines of shrinking and
+// growing sizes, handing each instance back before the next scan, so
+// every scan fills arrays a larger or smaller instance used: each must
+// equal the reference decode, and the IDs of a released instance must
+// survive later scans, since replies and errors hold them.
+func TestScanSolveRequestRecycles(t *testing.T) {
+	type kept struct {
+		ids []string
+		ref []string
+	}
+	var held []kept
+	for k, size := range []struct {
+		devices, chargers int
+	}{{200, 20}, {20, 4}, {200, 20}, {1, 1}, {120, 12}, {60, 30}} {
+		in, err := Instance(int64(k)+1, LargeField(size.devices, size.chargers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := EncodeInstance(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := fmt.Sprintf(`{"instance":%s,"scheduler":"CCSGA"}`, raw)
+		got, name, ok := ScanSolveRequest([]byte(line))
+		if !ok || name != "CCSGA" {
+			t.Fatalf("size %v: declined (%v) or scheduler %q", size, ok, name)
+		}
+		ref, err := decodeReference(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameInstance(t, got, ref)
+		var h kept
+		for _, d := range got.Devices {
+			h.ids = append(h.ids, d.ID)
+		}
+		for _, c := range got.Chargers {
+			h.ids = append(h.ids, c.ID)
+		}
+		for _, d := range ref.Devices {
+			h.ref = append(h.ref, d.ID)
+		}
+		for _, c := range ref.Chargers {
+			h.ref = append(h.ref, c.ID)
+		}
+		held = append(held, h)
+		ReleaseInstance(got)
+	}
+	for k, h := range held {
+		for i := range h.ids {
+			if h.ids[i] != h.ref[i] {
+				t.Fatalf("instance %d: ID %d is %q after later scans, want %q", k, i, h.ids[i], h.ref[i])
+			}
+		}
+	}
+}

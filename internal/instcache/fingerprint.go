@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pricing"
@@ -25,16 +26,29 @@ import (
 // differently. Tariffs hash as a tagged union; an unknown tariff
 // implementation is an error rather than a silent collision.
 func Fingerprint(in *core.Instance) ([32]byte, error) {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	bp := fingerprintBufs.Get().(*[]byte)
+	defer fingerprintBufs.Put(bp)
+	b, err := appendCanonical((*bp)[:0], in)
+	*bp = b
+	if err != nil {
+		return [32]byte{}, err
 	}
+	return sha256.Sum256(b), nil
+}
+
+// fingerprintBufs recycles Fingerprint's canonical byte streams, so a
+// fingerprint costs one SHA-256 call over a reused buffer.
+var fingerprintBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendCanonical appends the byte stream Fingerprint hashes: every field
+// as a big-endian uint64 (floats by bit pattern), each string prefixed by
+// its length.
+func appendCanonical(b []byte, in *core.Instance) ([]byte, error) {
+	u64 := func(v uint64) { b = binary.BigEndian.AppendUint64(b, v) }
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
 	str := func(s string) {
 		u64(uint64(len(s)))
-		h.Write([]byte(s))
+		b = append(b, s...)
 	}
 	str("instcache-v1")
 	f64(in.Field.MinX)
@@ -87,12 +101,10 @@ func Fingerprint(in *core.Instance) ([32]byte, error) {
 				f64(tier.Rate)
 			}
 		default:
-			return [32]byte{}, fmt.Errorf("instcache: charger %s: unsupported tariff type %T", c.ID, c.Tariff)
+			return b, fmt.Errorf("instcache: charger %s: unsupported tariff type %T", c.ID, c.Tariff)
 		}
 	}
-	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
-	return sum, nil
+	return b, nil
 }
 
 // Key identifies one cacheable solve: the instance fingerprint plus the

@@ -32,9 +32,9 @@ type entry struct {
 }
 
 // flight is one in-progress solve; waiters block on done and then read the
-// result fields (written once, before done is closed).
+// result fields (written once, before done is released).
 type flight struct {
-	done  chan struct{}
+	done  sync.WaitGroup
 	sched *core.Schedule
 	cost  float64
 	err   error
@@ -74,7 +74,8 @@ func New(capacity int) (*Cache, error) {
 // cache) it. The cached return reports whether the solution came from the
 // cache or a collapsed in-flight solve rather than this call's own solve.
 // Concurrent calls with the same key share a single solve; each caller
-// receives its own copy of the schedule.
+// receives its own copy of the schedule. The schedule solve returns is
+// kept as the cache entry, so solve must not retain it.
 func (c *Cache) Do(key Key, solve func() (*core.Schedule, float64, error)) (*core.Schedule, float64, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -89,14 +90,15 @@ func (c *Cache) Do(key Key, solve func() (*core.Schedule, float64, error)) (*cor
 		c.collapsed++
 		c.hits++
 		c.mu.Unlock()
-		<-fl.done
+		fl.done.Wait()
 		if fl.err != nil {
 			return nil, 0, false, fl.err
 		}
 		return cloneSchedule(fl.sched), fl.cost, true, nil
 	}
 	c.misses++
-	fl := &flight{done: make(chan struct{})}
+	fl := new(flight)
+	fl.done.Add(1)
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
@@ -108,22 +110,24 @@ func (c *Cache) Do(key Key, solve func() (*core.Schedule, float64, error)) (*cor
 		c.store(key, fl.sched, fl.cost)
 	}
 	c.mu.Unlock()
-	close(fl.done)
+	fl.done.Done()
 	if fl.err != nil {
 		return nil, 0, false, fl.err
 	}
-	// fl.sched is shared read-only with any waiters once done is closed;
-	// the leader hands its caller a private copy like everyone else.
+	// fl.sched is the cache entry, shared read-only with any waiters once
+	// done is released; the leader hands its caller a private copy like
+	// everyone else.
 	return cloneSchedule(fl.sched), fl.cost, false, nil
 }
 
-// store inserts a private copy of sched under key, evicting the least
-// recently used entry when full. Caller holds c.mu.
+// store inserts sched under key, evicting the least recently used entry
+// when full. The entry is never mutated: every reader clones it. Caller
+// holds c.mu.
 func (c *Cache) store(key Key, sched *core.Schedule, cost float64) {
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*entry)
-		e.sched, e.cost = cloneSchedule(sched), cost
+		e.sched, e.cost = sched, cost
 		return
 	}
 	for c.ll.Len() >= c.capacity {
@@ -132,7 +136,7 @@ func (c *Cache) store(key Key, sched *core.Schedule, cost float64) {
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.evictions++
 	}
-	c.entries[key] = c.ll.PushFront(&entry{key: key, sched: cloneSchedule(sched), cost: cost})
+	c.entries[key] = c.ll.PushFront(&entry{key: key, sched: sched, cost: cost})
 }
 
 // Stats snapshots the counters.
@@ -150,16 +154,24 @@ func (c *Cache) Stats() Stats {
 }
 
 // cloneSchedule deep-copies a schedule so cache entries and caller copies
-// never alias.
+// never alias. The copy's member lists share one flat array, each capped
+// at its own length so an append to one cannot write into the next.
 func cloneSchedule(s *core.Schedule) *core.Schedule {
 	if s == nil {
 		return nil
 	}
+	n := 0
+	for _, co := range s.Coalitions {
+		n += len(co.Members)
+	}
+	flat := make([]int, 0, n)
 	out := &core.Schedule{Coalitions: make([]core.Coalition, len(s.Coalitions))}
 	for i, co := range s.Coalitions {
-		out.Coalitions[i] = core.Coalition{
-			Charger: co.Charger,
-			Members: append([]int(nil), co.Members...),
+		out.Coalitions[i].Charger = co.Charger
+		if co.Members != nil {
+			at := len(flat)
+			flat = append(flat, co.Members...)
+			out.Coalitions[i].Members = flat[at:len(flat):len(flat)]
 		}
 	}
 	return out
