@@ -248,6 +248,69 @@ func TestRouterFleetAffinity(t *testing.T) {
 	}
 }
 
+// acceptCounter counts the connections a listener accepts.
+type acceptCounter struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestRouterHealthProbesNotCounted routes distinct solves to two
+// backends while the router's health probe sends them stats queries:
+// each backend's request count must equal the solves it served, however
+// many probes it answered.
+func TestRouterHealthProbesNotCounted(t *testing.T) {
+	srvs := make([]*solveServer, 2)
+	counters := make([]*acceptCounter, 2)
+	addrs := make([]string, 2)
+	for i := range srvs {
+		srv, err := newSolveServer(serveOpts{cacheSize: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters[i] = &acceptCounter{Listener: l}
+		t.Cleanup(func() { _ = l.Close() })
+		go func() { _ = srv.serve(counters[i]) }()
+		srvs[i], addrs[i] = srv, l.Addr().String()
+	}
+	_, routerAddr := startFleetRouter(t, router.Config{Backends: addrs, HealthInterval: 2 * time.Millisecond})
+	const solves = 8
+	for i := 0; i < solves; i++ {
+		if resp := oneShot(t, routerAddr, solveLine(t, serveInstance(10, float64(i)), "CCSA")); bytes.Contains(resp, []byte(`"error"`)) {
+			t.Fatalf("solve %d failed: %s", i, resp)
+		}
+	}
+	// Every probe dials its own connection: wait for three more on each
+	// backend after the last solve.
+	after := []int64{counters[0].accepted.Load(), counters[1].accepted.Load()}
+	pollUntil(t, "three health probes per backend", func() bool {
+		return counters[0].accepted.Load() >= after[0]+3 && counters[1].accepted.Load() >= after[1]+3
+	})
+	var total uint64
+	for b, srv := range srvs {
+		st := srv.cache.Stats()
+		served := st.Hits + st.Misses // every solve is distinct: one solution-tier lookup each
+		if got := srv.requests.Load(); got != served {
+			t.Errorf("backend %d counted %d requests, served %d solves", b, got, served)
+		}
+		total += served
+	}
+	if total != solves {
+		t.Fatalf("backends served %d solves, want %d", total, solves)
+	}
+}
+
 // pollUntil retries cond every millisecond until it holds or the
 // deadline passes.
 func pollUntil(t testing.TB, what string, cond func() bool) {

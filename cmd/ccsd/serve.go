@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -28,6 +29,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -90,6 +92,9 @@ type solveRequest struct {
 	// decoded is the instance of a solve line the one-pass scanner
 	// decoded (not yet validated); Instance is then empty.
 	decoded *core.Instance
+	// reply is the connection's reply memory the response is built and
+	// rendered in; nil builds it in fresh memory.
+	reply *replyBuf
 }
 
 // parseLine decodes one request line. A plain solve line is scanned in
@@ -384,9 +389,13 @@ func (s *solveServer) register(reg *obs.Registry) {
 }
 
 // handle answers one request; it never panics the connection — every
-// failure comes back as a response with Err set.
+// failure comes back as a response with Err set. A stats query is not
+// counted as a request, so health probes leave the request counters to
+// client traffic.
 func (s *solveServer) handle(req solveRequest) solveResponse {
-	s.requests.Add(1)
+	if !req.Stats {
+		s.requests.Add(1)
+	}
 	timed := (s.metricsOn || s.slowSolve > 0) && !req.Stats && req.hasInstance()
 	var start time.Time
 	if timed {
@@ -476,15 +485,7 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 		if s.solveDelay > 0 {
 			time.Sleep(s.solveDelay)
 		}
-		cm, err := core.NewCostModel(in)
-		if err != nil {
-			return nil, 0, err
-		}
-		plan, err := sched.Schedule(cm)
-		if err != nil {
-			return nil, 0, err
-		}
-		return plan, cm.TotalCost(plan), nil
+		return core.SolveOnce(in, sched)
 	}
 	// Server-side sharding: with a cell size configured and a scheduler
 	// that can warm-start (the property internal/shard relies on), large
@@ -511,6 +512,11 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 			}
 			return res.Schedule, res.TotalCost, nil
 		}
+	} else if req.decoded != nil {
+		// The whole-field path keeps nothing of a scanned instance past
+		// the reply, whose ID lists hold strings, not the arrays: the
+		// arrays go back to the scanner for the next request.
+		defer gen.ReleaseInstance(in)
 	}
 	var (
 		plan   *core.Schedule
@@ -536,15 +542,12 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 	if math.IsInf(cost, 0) || math.IsNaN(cost) {
 		return solveResponse{Err: fmt.Sprintf("total cost %v is not finite", cost)}
 	}
-	resp := solveResponse{Cost: cost, Sessions: len(plan.Coalitions), Cached: cached}
-	for _, c := range plan.Coalitions {
-		cj := coalitionJSON{Charger: in.Chargers[c.Charger].ID}
-		for _, i := range c.Members {
-			cj.Devices = append(cj.Devices, in.Devices[i].ID)
-		}
-		resp.Coalitions = append(resp.Coalitions, cj)
+	return solveResponse{
+		Cost:       cost,
+		Sessions:   len(plan.Coalitions),
+		Coalitions: req.reply.coalitionsJSON(in, plan),
+		Cached:     cached,
 	}
-	return resp
 }
 
 // serveConn negotiates the protocol for one connection and dispatches:
@@ -599,6 +602,7 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 	sbuf := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(sbuf)
 	sc.Buffer(*sbuf, maxRequestBytes)
+	rb := newReplyBuf()
 	for {
 		// Draining: the in-flight request (if any) was completed below;
 		// take no new ones.
@@ -615,26 +619,8 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 		if len(line) == 0 {
 			continue
 		}
-		// First tier: a byte-identical repeat request replays its rendered
-		// response with no decoding or solving at all.
-		var sum [32]byte
-		if s.raw != nil {
-			sum = sha256.Sum256(line)
-			if out, ok := s.raw.Get(sum); ok {
-				s.requests.Add(1)
-				if _, err := conn.Write(out); err != nil {
-					return
-				}
-				continue
-			}
-		}
-		req, err := parseLine(line)
-		out, replay := s.respond(req, err)
-		if _, err := conn.Write(out); err != nil {
+		if _, err := conn.Write(s.answerLine(rb, line)); err != nil {
 			return
-		}
-		if replay != nil {
-			s.raw.Put(sum, replay)
 		}
 	}
 	// The scan loop ended: distinguish a clean hangup from the failure
@@ -663,16 +649,45 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
+// answerLine answers one request line of a JSON connection in rb's
+// memory. First tier: a byte-identical repeat of a stateless solve
+// replays its rendered reply from the raw tier with no decoding or
+// solving at all. Any other line is parsed and answered, and a
+// replayable reply's entry goes into the raw tier (which copies it). The
+// reply is valid until rb's next use.
+func (s *solveServer) answerLine(rb *replyBuf, line []byte) []byte {
+	var sum [32]byte
+	if s.raw != nil {
+		sum = sha256.Sum256(line)
+		if out, ok := s.raw.Get(sum); ok {
+			s.requests.Add(1)
+			return out
+		}
+	}
+	req, err := parseLine(line)
+	req.reply = rb
+	out, replay := s.respond(req, err)
+	if replay != nil {
+		s.raw.Put(sum, replay)
+	}
+	return out
+}
+
 // respond answers one parsed request line (parseErr is the line's decode
-// error) and renders the reply once. out is the reply line; replay is
-// the raw-tier entry for it, or nil. Only successful stateless solves
-// replay (as cache hits); stats queries, errors, and session verbs
-// (whose responses depend on server state, not just the request bytes)
-// are never byte-cached — which also keeps serveJSON's pre-decode Get
-// from ever replaying them. A reply that cannot be rendered becomes an
-// error line and counts as a failure, so the client never sees a silent
-// hangup.
+// error) and renders the reply once, in req.reply's memory (fresh memory
+// when it is nil). out is the reply line; replay is the raw-tier entry
+// for it, or nil; both stay valid until the connection's next request.
+// Only successful stateless solves replay (as cache hits); stats
+// queries, errors, and session verbs (whose responses depend on server
+// state, not just the request bytes) are never byte-cached — which also
+// keeps serveJSON's pre-decode Get from ever replaying them. A reply that
+// cannot be rendered becomes an error line and counts as a failure, so
+// the client never sees a silent hangup.
 func (s *solveServer) respond(req solveRequest, parseErr error) (out, replay []byte) {
+	rb := req.reply
+	if rb == nil {
+		rb = newReplyBuf()
+	}
 	var resp solveResponse
 	if parseErr != nil {
 		s.requests.Add(1)
@@ -681,43 +696,98 @@ func (s *solveServer) respond(req solveRequest, parseErr error) (out, replay []b
 	} else {
 		resp = s.handle(req)
 	}
-	out, err := renderLine(resp)
+	out, err := rb.render(resp)
 	if err != nil {
 		s.failures.Add(1)
-		out, _ = renderLine(solveResponse{Err: "render response: " + err.Error()})
+		out, _ = rb.render(solveResponse{Err: "render response: " + err.Error()})
 		return out, nil
 	}
 	if s.raw != nil && resp.Err == "" && resp.Stats == nil && req.stateless() {
-		replay = replayLine(out, resp.Cached)
+		rb.replay = appendReplay(rb.replay[:0], out, resp.Cached)
+		replay = rb.replay
 	}
 	return out, replay
 }
 
-// renderLine renders resp as one reply line: json.Marshal's bytes plus
-// the '\n' framing.
-func renderLine(resp solveResponse) ([]byte, error) {
-	b, err := json.Marshal(resp)
-	return append(b, '\n'), err
+// replyBuf is the memory one JSON connection builds and renders its
+// replies in, reused from request to request: the reply line, its
+// raw-tier replay entry, and the ID lists of a solve reply's coalitions.
+// What it holds for one request is valid until the next.
+type replyBuf struct {
+	line       bytes.Buffer
+	enc        *json.Encoder // renders into line
+	replay     []byte
+	coalitions []coalitionJSON
+	ids        []string
 }
 
-// replayLine builds the raw-tier entry for a rendered stateless solve
-// reply: the bytes json.Marshal gives the same response with Cached set.
-// Cached is the last field a stateless solve reply can carry, so it is
-// spliced in before the closing brace instead of rendering the reply a
-// second time; a reply that is already cached is its own replay.
-func replayLine(out []byte, cached bool) []byte {
+func newReplyBuf() *replyBuf {
+	b := new(replyBuf)
+	b.enc = json.NewEncoder(&b.line)
+	return b
+}
+
+// render renders resp as one reply line in b: json.Marshal's bytes plus
+// the '\n' framing, which is exactly what the encoder writes.
+func (b *replyBuf) render(resp solveResponse) ([]byte, error) {
+	b.line.Reset()
+	if err := b.enc.Encode(resp); err != nil {
+		return nil, err
+	}
+	return b.line.Bytes(), nil
+}
+
+// coalitionsJSON lists plan's sessions by agent IDs, on b's arrays (fresh
+// ones when b is nil). Each coalition's device list is a capped slice of
+// one array of IDs.
+func (b *replyBuf) coalitionsJSON(in *core.Instance, plan *core.Schedule) []coalitionJSON {
+	var (
+		cs  []coalitionJSON
+		ids []string
+	)
+	if b != nil {
+		cs, ids = b.coalitions[:0], b.ids[:0]
+	}
+	n := 0
+	for _, c := range plan.Coalitions {
+		n += len(c.Members)
+	}
+	ids = slices.Grow(ids, n)
+	for _, c := range plan.Coalitions {
+		cj := coalitionJSON{Charger: in.Chargers[c.Charger].ID}
+		if len(c.Members) > 0 {
+			at := len(ids)
+			for _, i := range c.Members {
+				ids = append(ids, in.Devices[i].ID)
+			}
+			cj.Devices = ids[at:len(ids):len(ids)]
+		}
+		cs = append(cs, cj)
+	}
+	if b != nil {
+		b.coalitions, b.ids = cs, ids
+	}
+	return cs
+}
+
+// appendReplay appends to dst the raw-tier entry for out, a rendered
+// stateless solve reply: the bytes json.Marshal gives the same response
+// with Cached set. Cached is the last field a stateless solve reply can
+// carry, so it is spliced in before the closing brace instead of
+// rendering the reply a second time; a reply that is already cached is
+// its own replay. The entry never shares out's memory.
+func appendReplay(dst, out []byte, cached bool) []byte {
 	if cached {
-		return out
+		return append(dst, out...)
 	}
 	const field = `"cached":true`
 	body := out[:len(out)-2] // without "}\n"
-	rb := make([]byte, 0, len(out)+len(field)+1)
-	rb = append(rb, body...)
+	dst = append(dst, body...)
 	if len(body) > 1 {
-		rb = append(rb, ',')
+		dst = append(dst, ',')
 	}
-	rb = append(rb, field...)
-	return append(rb, '}', '\n')
+	dst = append(dst, field...)
+	return append(dst, '}', '\n')
 }
 
 // remoteAddr renders the peer address for event logs (the conn may

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/instcache"
 	"repro/internal/wire"
 )
 
@@ -94,14 +93,11 @@ func (rt *Router) binaryKeyHash(typ wire.Type, payload []byte) uint64 {
 	if d.Done() != nil {
 		return 0
 	}
-	in, err := gen.DecodeInstance(inst)
+	in, err := gen.ParseInstance(inst)
 	if err != nil {
 		return 0
 	}
-	if name == "" {
-		name = "CCSGA" // registers default to the warm scheduler
-	}
-	key, err := instcache.KeyFor(in, name, "")
+	key, err := registerKey(in, name)
 	if err != nil {
 		return 0
 	}

@@ -342,6 +342,16 @@ func solveKey(in *core.Instance, scheduler string) (instcache.Key, error) {
 	return instcache.KeyFor(in, scheduler, "")
 }
 
+// registerKey is solveKey for a register, over either protocol: a
+// session without a scheduler runs CCSGA on the backend, so it is keyed
+// as one.
+func registerKey(in *core.Instance, scheduler string) (instcache.Key, error) {
+	if scheduler == "" {
+		scheduler = "CCSGA"
+	}
+	return solveKey(in, scheduler)
+}
+
 // coalesce collapses concurrent solves of one fingerprint into a single
 // upstream round trip; followers share the leader's response bytes.
 func (rt *Router) coalesce(key instcache.Key, sum [32]byte, line []byte) []byte {
@@ -435,7 +445,7 @@ func (rt *Router) sessionLine(line []byte, req routeRequest, sessionBackend **ba
 		if err != nil {
 			return rt.failLine(err.Error())
 		}
-		key, err := solveKey(in, req.Scheduler)
+		key, err := registerKey(in, req.Scheduler)
 		if err != nil {
 			return rt.failLine(err.Error())
 		}

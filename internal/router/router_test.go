@@ -583,6 +583,44 @@ func TestBinaryRegisterRoutesByFingerprint(t *testing.T) {
 	}
 }
 
+// TestRegisterPlacementMatchesAcrossProtocols registers instances
+// without a scheduler over JSON and over the binary protocol: both must
+// key the session as the CCSGA solve the backend runs, and pin it to the
+// same backend.
+func TestRegisterPlacementMatchesAcrossProtocols(t *testing.T) {
+	rt, err := New(Config{Backends: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	owners := map[int]bool{}
+	for seed := int64(1); seed <= 12; seed++ {
+		in, err := gen.Instance(seed, gen.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := registerKey(in, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key.Scheduler != "CCSGA" {
+			t.Fatalf("JSON register keyed as %q, want CCSGA", key.Scheduler)
+		}
+		enc, err := gen.EncodeInstance(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary := rt.ring.owner(rt.binaryKeyHash(wire.TRegister, append(wire.AppendString(nil, ""), enc...)), rt.alive)
+		if json := rt.OwnerOf(key); json != binary {
+			t.Fatalf("seed %d: JSON register owned by backend %d, binary register by %d", seed, json, binary)
+		}
+		owners[binary] = true
+	}
+	if len(owners) < 2 {
+		t.Fatalf("12 instances all owned by backend(s) %v: placement not exercised", owners)
+	}
+}
+
 func TestRouterConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"no backends":    {},
