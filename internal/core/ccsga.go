@@ -175,12 +175,13 @@ func (g *chargerGame) run(seed int64, maxPasses int) (switches, passes int, conv
 //
 // A slot is skipped unevaluated when a lower bound on its share cannot
 // clear the bar or exceeds the current candidate's share (so it can never
-// be the argmin). Under PDS there are two exact bounds: the moving cost
-// (shareBounds), and for a chord-bearing charger the chord bound
-// (chordBound), which costs more and so runs second. A slot the chord
-// rules out is stamped in the join memo as a bound entry: a later full
-// best response re-tests its value against its own bar, and share never
-// returns it.
+// be the argmin). Under PDS there are two exact bounds: the price floor,
+// moving cost plus demand times the charger's floor price (shareBounds,
+// floorDemand), and for a chord-bearing charger the chord bound
+// (chordBound), which reads the slot's purchase and so runs second. A
+// slot the chord rules out is stamped in the join memo as a bound entry:
+// a later full best response re-tests its value against its own bar, and
+// share never returns it.
 //
 // A clean device (repair: its slot saw no delta) also skips slots whose
 // join share is still memoized, exact or bound. Memo invariant: a
@@ -192,13 +193,13 @@ func (g *chargerGame) run(seed int64, maxPasses int) (switches, passes int, conv
 // candidates because their bar may just have moved.
 func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) (int, float64) {
 	cur := g.cur[i]
-	bounds := g.shareBounds(i)
+	move, dem := g.shareBounds(i), g.floorDemand(i)
 	limit := bar - switchEps
 	candS, candShare := -1, 0.0
 	for _, s := range slots {
-		// The moving-cost bound holds whatever the memo holds, so it is
-		// tested before the memo stamp is read.
-		if s == cur || bounds != nil && outranked(bounds[s], limit, candS, candShare) {
+		// The price floor holds whatever the memo holds, so it is tested
+		// before the memo stamp is read.
+		if s == cur || move != nil && outranked(move[s]+dem*g.floor[s], limit, candS, candShare) {
 			continue
 		}
 		sh, st := g.memoized(i, s)
@@ -211,7 +212,7 @@ func (g *chargerGame) bestResponse(i int, bar float64, slots []int, clean bool) 
 			}
 			sh = g.memoize(i, s)
 		case st == memoMiss:
-			if bounds != nil {
+			if move != nil {
 				if lb, ok := g.chordBound(i, s); ok && outranked(lb, limit, candS, candShare) {
 					g.stampBound(i, s, lb)
 					continue
@@ -353,9 +354,11 @@ type chargerGame struct {
 	// member's share of its own slot reads it.
 	term []sessionTerm
 	// chord[j] is the right end of charger j's chords; chordDemand is the
-	// total demand, with headroom, they were sized for.
+	// total demand, with headroom, they were sized for. floor[s] is the
+	// price floor of slot s's charger, per joule stored (see buildChord).
 	chord       []chordEnd
 	chordDemand float64
+	floor       []float64
 	// memo caches hypothetical-join shares: memo.share[i*slots+s] is
 	// share(i, s) computed while device i was outside slot s, valid while
 	// memo.stamp[i*slots+s] == slotEpoch[s], or a lower bound on it while
@@ -494,6 +497,7 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 		slotEpoch:    resize(old.slotEpoch, slots),
 		term:         resize(old.term, slots),
 		chord:        resize(old.chord, len(cm.Instance().Chargers)),
+		floor:        resize(old.floor, slots),
 	}
 	for s := range g.allSlots {
 		g.allSlots[s] = s
@@ -505,6 +509,7 @@ func newChargerGame(cm *CostModel, scheme SharingScheme) (*chargerGame, error) {
 	clear(g.sigmaSum)
 	clear(g.term) // stamp 0 is never valid
 	clear(g.chord)
+	clear(g.floor)
 	for i := range g.sigma {
 		g.sigma[i], _ = cm.StandaloneCost(i)
 	}
@@ -749,17 +754,21 @@ func (g *chargerGame) stampBound(i, s int, lb float64) {
 	}
 }
 
-// shareBounds returns a slice indexed by slot whose entry s is never
-// larger than share(i, s) as computed in floating point, for every s other
-// than i's current slot; nil means no bound. The slice is read-only and
-// valid until the next call. The bound is device i's moving cost to each
-// slot's charger. Under PDS a share is the moving cost plus
-// charging·mine/purchased, and every factor of that product is
-// nonnegative (Fee ≥ 0, a nondecreasing tariff with Price(0) = 0, a
-// travel leg ≥ 0), so the product rounds to ≥ 0 and, IEEE addition being
-// monotone, the rounded sum to ≥ the moving cost. The bound thus holds
-// exactly in floating point, and a full slot's +Inf satisfies it
-// trivially. ESS shares subtract a surplus and have no such bound.
+// shareBounds returns device i's moving cost to each slot's charger,
+// indexed by slot, under PDS; nil under ESS, whose shares subtract a
+// surplus and have no such bound. The slice is read-only and valid until
+// the next call. With floorDemand and floor it gives the price floor
+// move[s] + dem·floor[s], which is never larger than share(i, s) as
+// computed in floating point, for every s other than i's current slot:
+//
+//   - A PDS share is the moving cost plus charging·mine/purch, and every
+//     factor of that product is nonnegative (Fee ≥ 0, a nondecreasing
+//     tariff with Price(0) = 0, a travel leg ≥ 0), so the product rounds
+//     to ≥ 0 and, IEEE addition being monotone, the share to ≥ the moving
+//     cost. That is the whole floor where floor[s] or dem is 0, and a
+//     full slot's +Inf satisfies any floor trivially.
+//   - Where floor[s] > 0 the rounded product is at least dem·floor[s]:
+//     buildChord has the argument.
 func (g *chargerGame) shareBounds(i int) []float64 {
 	if !g.pds {
 		return nil
@@ -768,6 +777,16 @@ func (g *chargerGame) shareBounds(i int) []float64 {
 		return row // one slot per charger: slot s is charger s
 	}
 	return g.slotBounds(i)
+}
+
+// floorDemand returns device i's demand, the factor of its price floor
+// (see buildChord), or 0 when it lies outside [1/floorRange, floorRange]
+// and the floor falls back to the moving cost.
+func (g *chargerGame) floorDemand(i int) float64 {
+	if d := g.in.Devices[i].Demand; d >= 1/floorRange && d <= floorRange {
+		return d
+	}
+	return 0
 }
 
 // slotBounds maps device i's moving-cost row onto the session slots.
@@ -814,13 +833,23 @@ const (
 	// instance has, so a stream of joins that keeps total demand near
 	// its level rarely rebuilds them.
 	chordHeadroom = 1 + 1.0/64
+	// chordSlack is the least headroom chords keep: sizeChords rebuilds
+	// them once total demand comes within 2⁻¹⁰ of what they were sized
+	// for, so every slot's running purchase stays below the right end
+	// however it drifts (see buildChord).
+	chordSlack = 1 + 0x1p-10
+	// floorRange bounds the demands and floor prices a price floor is
+	// built from to [1/floorRange, floorRange], so every value it and
+	// the share it bounds rest on is a normal float (see buildChord).
+	floorRange = 1e100
 )
 
-// sizeChords resizes every charger's chord when total demand has
-// outgrown the demand the chords were sized for. A PDS game sizes them
-// at construction, and the repair path calls it after a device is added
-// or updated. A slot keeps the slope it was refreshed with until its
-// epoch moves; term[s].x records which right end that slope belongs to.
+// sizeChords resizes every charger's chord, and with it its price floor,
+// when total demand comes within chordSlack of the demand the chords
+// were sized for. A PDS game sizes them at construction, and the repair
+// path calls it after a device is added or updated. A slot keeps the
+// slope it was refreshed with until its epoch moves; term[s].x records
+// which right end that slope belongs to.
 func (g *chargerGame) sizeChords() {
 	if !g.pds {
 		return
@@ -829,7 +858,7 @@ func (g *chargerGame) sizeChords() {
 	for _, d := range g.in.Devices {
 		total += d.Demand
 	}
-	if total <= g.chordDemand {
+	if total*chordSlack <= g.chordDemand {
 		return
 	}
 	g.chordDemand = total * chordHeadroom
@@ -838,17 +867,48 @@ func (g *chargerGame) sizeChords() {
 	}
 }
 
-// buildChord sets charger j's chord end and its price: only a stationary
-// charger whose tariff is a power law in concaveByForm's region over
-// [0, x] gets one (under ESS chordDemand stays 0, so none does). The
-// repair path calls it again when the charger's tariff is swapped; the
-// swap dirties the charger's slots, so no slope of the old tariff
+// buildChord sets charger j's chord end and its price, and the price
+// floor of its slots: only a stationary charger whose tariff is a power
+// law in concaveByForm's region over [0, x] gets them (under ESS
+// chordDemand stays 0, so none does); any other charger's floor is 0.
+// The repair path calls it again when the charger's tariff is swapped;
+// the swap dirties the charger's slots, so no slope of the old tariff
 // survives.
+//
+// The floor is k = (Fee + φ(x))/x/η, scaled by chordMargin, and device
+// i's share of any slot s of the charger is at least move + D_i·k. Its
+// PDS share is move + w·(Fee + φ(y))/y with w = D_i/η and y = P + w the
+// join purchase, and the average price (Fee + φ(y))/y is nonincreasing
+// in y for a concave φ with φ(0) = 0 and Fee ≥ 0, so it is at least
+// (Fee + φ(x))/x wherever y ≤ x. Every slot's purchase is a sum of
+// member purchases whose total is below x/chordSlack (sizeChords keeps
+// it so); the running sum drifts by at most half an ulp of x per join
+// or leave since the slot's sums were last rebuilt, so it would take
+// 2⁴² of them to pass x. In floating point both sides carry a few
+// roundings and math.Pow's ~1e-13, each relative, three orders below
+// the margin, provided every value is normal or overflows (which only
+// raises the share): a scaled Fee + φ(x) of at least chordMinCharge
+// makes a subnormal φ(x) negligible, and k and D_i in [1/floorRange,
+// floorRange] keep D_i·k in [1e-200, 1e200], the session term (at least
+// D_i·k/chordMargin) and its product with w (at least D_i²·k) at or
+// above 1e-300, and the join purchase, at least D_i and at most x,
+// inside the region where Price carries relative error. floorDemand
+// drops a device outside the range to the moving-cost bound.
 func (g *chargerGame) buildChord(j int) {
 	ch := &g.in.Chargers[j]
 	g.chord[j] = chordEnd{}
+	k := 0.0
 	if x := g.chordDemand / ch.Efficiency; !ch.Mobile && pricing.PowerLawOver(ch.Tariff, x) {
-		g.chord[j] = chordEnd{x: x, px: ch.Tariff.Price(x)}
+		px := ch.Tariff.Price(x)
+		g.chord[j] = chordEnd{x: x, px: px}
+		if c := (ch.Fee + px) * chordMargin; c >= chordMinCharge {
+			if f := c / x / ch.Efficiency; f >= 1/floorRange && f <= floorRange {
+				k = f
+			}
+		}
+	}
+	for s := g.firstSlot[j]; s < len(g.chargerOf) && g.chargerOf[s] == j; s++ {
+		g.floor[s] = k
 	}
 }
 

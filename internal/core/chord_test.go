@@ -133,14 +133,28 @@ func TestChordBoundNeverExceedsShare(t *testing.T) {
 	t.Logf("%d chord bounds checked, %d to empty slots", applied, empty)
 }
 
+// floorlessSolve is ccsgaSolve with every price floor hidden (set to 0,
+// which leaves the moving-cost bound).
+func floorlessSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
+	g, err := seededGame(cm, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	clear(g.floor)
+	switches, passes, converged := g.run(opts.Seed, opts.MaxPasses)
+	return &CCSGAResult{Schedule: g.schedule(), Switches: switches, Passes: passes,
+		Converged: converged, NashStable: converged || g.isNash()}, g, nil
+}
+
 // TestChordSkipMatchesPlainPath is the differential referee for the
-// chord skip: with the chords live, the fast path must reproduce the
-// plain path's assignment, passes, switches, convergence and Nash
-// verdict, and over the battery it must price fewer tariffs than with
-// the same tariffs hidden from the chord.
+// chord and price-floor skips: with both live, the fast path must
+// reproduce the plain path's assignment, passes, switches, convergence
+// and Nash verdict, and the floorless path's too; over the battery it
+// must price fewer tariffs than with the same tariffs hidden from the
+// chord, and than with the floors hidden.
 func TestChordSkipMatchesPlainPath(t *testing.T) {
 	r := rand.New(rand.NewSource(2525))
-	var chordPrices, hiddenPrices int
+	var chordPrices, hiddenPrices, floorlessPrices int
 	for trial := 0; trial < 30; trial++ {
 		in := chordInstance(r, 4+r.Intn(40), 2+r.Intn(6))
 		var opts CCSGAOptions
@@ -177,12 +191,142 @@ func TestChordSkipMatchesPlainPath(t *testing.T) {
 		if d := sameOutcome(chord, plain); d != "" {
 			t.Fatalf("trial %d: fast path with chords diverged from plain path: %s", trial, d)
 		}
-		chordPrices, hiddenPrices = chordPrices+cp, hiddenPrices+hp
+		floorless, fp := run(floorlessSolve, metered)
+		if d := sameOutcome(chord, floorless); d != "" {
+			t.Fatalf("trial %d: fast path with price floors diverged from the path without: %s", trial, d)
+		}
+		chordPrices, hiddenPrices, floorlessPrices = chordPrices+cp, hiddenPrices+hp, floorlessPrices+fp
 	}
-	if chordPrices >= hiddenPrices {
-		t.Errorf("chord runs priced %d tariffs, runs without chords %d; want fewer", chordPrices, hiddenPrices)
+	if chordPrices >= hiddenPrices || chordPrices >= floorlessPrices {
+		t.Errorf("chord runs priced %d tariffs, runs without chords %d and without price floors %d; want fewer than both",
+			chordPrices, hiddenPrices, floorlessPrices)
 	}
-	t.Logf("tariff prices: with chords %d, without %d", chordPrices, hiddenPrices)
+	t.Logf("tariff prices: with chords and floors %d, without chords %d, without floors %d", chordPrices, hiddenPrices, floorlessPrices)
+}
+
+// requireFloorSound checks the price floor against the plain
+// evaluation: a mobile charger's slots, and those of a charger without a
+// chord, carry no floor; for every seated device and every slot outside
+// its own, the floor is at most the computed share; and for every device
+// and floored charger, it is at most the share the device would pay in
+// one session holding the whole instance's demand, the largest purchase
+// any slot can reach. All comparisons are of floats, with no tolerance.
+// It returns how many nonzero floors it compared.
+func requireFloorSound(t *testing.T, g *chargerGame, tag string) (floored int) {
+	t.Helper()
+	in := g.in
+	for s, j := range g.chargerOf {
+		if k := g.floor[s]; k != 0 && (in.Chargers[j].Mobile || g.chord[j].x == 0) {
+			t.Fatalf("%s: slot %d of charger %d (mobile %v, chord end %v) has floor %v",
+				tag, s, j, in.Chargers[j].Mobile, g.chord[j].x, k)
+		}
+	}
+	for i, cur := range g.cur {
+		if cur < 0 {
+			continue // added by a delta, seated at the next repair
+		}
+		dem := g.floorDemand(i)
+		for s, j := range g.chargerOf {
+			if s == cur || g.floor[s] == 0 {
+				continue
+			}
+			lb := g.cm.move[i][j] + dem*g.floor[s]
+			if want := referenceShare(g, i, s); !(lb <= want) {
+				t.Fatalf("%s: price floor (%d, %d) = %v above the computed share %v", tag, i, s, lb, want)
+			}
+			floored++
+		}
+	}
+	for j := range in.Chargers {
+		ch := &in.Chargers[j]
+		k := g.floor[g.firstSlot[j]]
+		if k == 0 {
+			continue
+		}
+		var whole float64
+		for _, d := range in.Devices {
+			whole += d.Demand / ch.Efficiency
+		}
+		charging := ch.Fee + ch.Tariff.Price(whole)
+		for i, d := range in.Devices {
+			move := g.cm.move[i][j]
+			lb, share := move+g.floorDemand(i)*k, move+charging*(d.Demand/ch.Efficiency)/whole
+			if !(lb <= share) {
+				t.Fatalf("%s: price floor (%d, charger %d) = %v above the share %v of a session with all %.6g J",
+					tag, i, j, lb, share, whole)
+			}
+		}
+	}
+	return floored
+}
+
+// TestPriceFloorNeverExceedsShare is the soundness referee of the price
+// floor, on chordTariff's power laws at both exponent ends, decorated
+// tariffs, free sessions, capacitated multi-slot chargers and mobile
+// chargers: through random moves and to convergence, requireFloorSound
+// must hold.
+func TestPriceFloorNeverExceedsShare(t *testing.T) {
+	r := rand.New(rand.NewSource(2626))
+	floored := 0
+	for trial := 0; trial < 60; trial++ {
+		n, m := 2+r.Intn(30), 1+r.Intn(7)
+		cm := mustCostModel(t, chordInstance(r, n, m))
+		g, err := seededGame(cm, CCSGAOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 20; step++ {
+			floored += requireFloorSound(t, g, fmt.Sprintf("trial %d step %d", trial, step))
+			i, to := r.Intn(n), r.Intn(len(g.chargerOf))
+			if from := g.cur[i]; from != to {
+				g.move(i, from, to)
+			}
+		}
+		g.run(0, 0)
+		floored += requireFloorSound(t, g, fmt.Sprintf("trial %d converged", trial))
+		g.release()
+	}
+	if floored == 0 {
+		t.Fatal("no price floor applied; want some")
+	}
+	t.Logf("%d price floors checked", floored)
+}
+
+// TestPriceFloorOnlyStationaryPDS pins where the floor applies: under PDS
+// every stationary power-law charger's slots get one and no mobile
+// charger's do; under ESS no slot does.
+func TestPriceFloorOnlyStationaryPDS(t *testing.T) {
+	r := rand.New(rand.NewSource(2727))
+	var mobile, stationary int
+	for trial := 0; trial < 30; trial++ {
+		cm := mustCostModel(t, chordInstance(r, 4+r.Intn(30), 2+r.Intn(6)))
+		for _, scheme := range []SharingScheme{PDS{}, ESS{}} {
+			g, err := seededGame(cm, CCSGAOptions{Scheme: scheme})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, j := range g.chargerOf {
+				ch := &g.in.Chargers[j]
+				switch k := g.floor[s]; {
+				case !g.pds && k != 0:
+					t.Fatalf("trial %d: ESS slot %d has floor %v", trial, s, k)
+				case !g.pds:
+				case ch.Mobile && k != 0:
+					t.Fatalf("trial %d: mobile charger %d's slot %d has floor %v", trial, j, s, k)
+				case ch.Mobile:
+					mobile++
+				case !(k > 0):
+					t.Fatalf("trial %d: stationary power-law charger %d's slot %d has floor %v", trial, j, s, k)
+				default:
+					stationary++
+				}
+			}
+			g.release()
+		}
+	}
+	if mobile == 0 || stationary == 0 {
+		t.Fatalf("checked %d mobile and %d stationary slots; want both > 0", mobile, stationary)
+	}
 }
 
 // chordDelta applies one random delta op to twin models: cmA carries the
@@ -253,8 +397,8 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 // instances through a delta stream that grows total demand past the
 // chords' right ends, raises demands and swaps tariffs between power law
 // and linear or tiered. After every delta and every repair, every chord
-// bound must be sound and every memo entry exact or, if a bound entry, at
-// most the share. A twin whose tariffs hide their closed form, so its game
+// bound and price floor must be sound and every memo entry exact or, if a
+// bound entry, at most the share. A twin whose tariffs hide their closed form, so its game
 // has no chords, must return deeply equal results at every step, with the
 // default frontier cap and with the cap lifted to the whole population.
 func TestChordMemoAcrossLifecycle(t *testing.T) {
@@ -308,12 +452,14 @@ func TestChordMemoAcrossLifecycle(t *testing.T) {
 						resized++
 					}
 					requireChordSound(t, rsA.game, name+" "+tag)
+					requireFloorSound(t, rsA.game, name+" "+tag)
 					requireMemoExact(t, rsA.game, name+" "+tag)
 				}
 				if solveTwins(tag) {
 					repaired++
 				}
 				requireChordSound(t, rsA.game, name+" solved "+tag)
+				requireFloorSound(t, rsA.game, name+" solved "+tag)
 				bounds += requireMemoExact(t, rsA.game, name+" solved "+tag)
 			}
 			if bounds == 0 || resized == 0 || repaired == 0 {

@@ -142,7 +142,7 @@ func (in *Instance) Validate() error {
 		fits := false
 		for j := range in.Chargers {
 			c := &in.Chargers[j]
-			if c.fitsAlone(d.Demand/c.Efficiency, d.Pos) {
+			if c.fitsAlone(d.Demand, d.Pos) {
 				fits = true
 				break
 			}
@@ -155,12 +155,14 @@ func (in *Instance) Validate() error {
 }
 
 // fitsAlone reports whether the charger can serve, alone, a device at p
-// that purchases e joules: the purchase fits the session capacity within
-// the 1e-12 relative tolerance every session-capacity check uses, and a
-// budgeted mobile charger reaches p. Instance.Validate and the cost
-// model share it, so an instance the delta ops accept always rebuilds.
-func (c *Charger) fitsAlone(e float64, p geom.Point) bool {
-	return !(c.Capacity > 0 && e > c.Capacity*(1+1e-12)) && c.reaches(p)
+// that stores demand joules: its purchase demand/Efficiency fits the
+// session capacity within the 1e-12 relative tolerance every
+// session-capacity check uses, and a budgeted mobile charger reaches p.
+// Only a capacitated charger computes the purchase. Instance.Validate
+// and the cost model share it, so an instance the delta ops accept
+// always rebuilds.
+func (c *Charger) fitsAlone(demand float64, p geom.Point) bool {
+	return !(c.Capacity > 0 && demand/c.Efficiency > c.Capacity*(1+1e-12)) && c.reaches(p)
 }
 
 // Coalition is one charging session: the set of devices served together by
@@ -245,10 +247,11 @@ type CostModel struct {
 	standalone []float64
 	// standaloneCharger[i] is the charger attaining standalone[i].
 	standaloneCharger []int
-	// env[j] is a lower envelope of charger j's tariff; bound is
-	// standaloneFor's scratch row of per-charger singleton cost bounds.
-	// Both are touched only at construction and by the delta ops.
-	env   []pricing.Envelope
+	// chord[j] bounds charger j's tariff price from below, per joule
+	// stored; bound is standaloneFor's scratch row of per-charger
+	// singleton cost bounds. Both are touched only at construction and by
+	// the delta ops.
+	chord []pricing.Chord
 	bound []float64
 	// listener, when non-nil, observes successful delta mutations so
 	// incremental solver state (RepairState) can track which session
@@ -281,8 +284,8 @@ func (cm *CostModel) setListener(l mutationListener) { cm.listener = l }
 
 // NewCostModel validates the instance and precomputes its cost tables.
 // The moving-cost rows share one backing array, and each charger's
-// tariff gets its lower envelope over the largest single-device purchase
-// there, so standaloneFor prices the tariff only where it can win.
+// tariff gets its two-price chord over the instance's demand range, so
+// standaloneFor prices the tariff only where it can win.
 func NewCostModel(in *Instance) (*CostModel, error) {
 	cm := new(CostModel)
 	if err := cm.build(in); err != nil {
@@ -306,16 +309,10 @@ func (cm *CostModel) build(in *Instance) error {
 		move:              resize(old.move, n),
 		standalone:        resize(old.standalone, n),
 		standaloneCharger: resize(old.standaloneCharger, n),
-		env:               resize(old.env, m),
+		chord:             resize(old.chord, m),
 		bound:             resize(old.bound, m),
 	}
-	// Envelope grids span [0, the largest single-device purchase]; a
-	// device added later with a larger demand falls above the grid,
-	// where the envelope stays a valid bound.
-	var maxDemand float64
-	for _, d := range in.Devices {
-		maxDemand = math.Max(maxDemand, d.Demand)
-	}
+	lo, hi := demandRange(in.Devices)
 	for j := range in.Chargers {
 		c := &in.Chargers[j]
 		if c.Mobile {
@@ -324,7 +321,7 @@ func (cm *CostModel) build(in *Instance) error {
 				cm.hasBudget = true
 			}
 		}
-		cm.env[j] = pricing.NewEnvelope(c.Tariff, maxDemand/c.Efficiency)
+		cm.chord[j] = pricing.NewChord(c.Tariff, c.Efficiency, lo, hi)
 	}
 	for i, d := range in.Devices {
 		row := cm.flat[i*m : (i+1)*m : (i+1)*m]
@@ -333,6 +330,17 @@ func (cm *CostModel) build(in *Instance) error {
 		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(d, row)
 	}
 	return nil
+}
+
+// demandRange returns the smallest and largest demand among devices.
+// The chords span it; a device added later outside it still gets a valid
+// bound, the top price above the range and 0 below it.
+func demandRange(devices []Device) (lo, hi float64) {
+	lo = math.Inf(1)
+	for _, d := range devices {
+		lo, hi = math.Min(lo, d.Demand), math.Max(hi, d.Demand)
+	}
+	return lo, hi
 }
 
 // resize returns s with length n, reusing its backing array when it is
@@ -402,7 +410,7 @@ func (cm *CostModel) deviceRow(d Device) (row []float64, standalone float64, sta
 // alone would find it.
 //
 // It first writes a lower bound on every charger's singleton cost into
-// the bound scratch row — Fee + envelope(purchase) + move, +Inf where the
+// the bound scratch row — Fee + chord(demand) + move, +Inf where the
 // device does not fit alone — then prices the charger with the smallest
 // bound, then walks the chargers in index order and prices only those
 // whose bound is below the best cost so far, or equal to it at a lower
@@ -415,10 +423,9 @@ func (cm *CostModel) standaloneFor(d Device, row []float64) (float64, int) {
 	first, firstBound := -1, math.Inf(1)
 	for j := range cm.inst.Chargers {
 		c := &cm.inst.Chargers[j]
-		e := d.Demand / c.Efficiency
 		b := math.Inf(1)
-		if c.fitsAlone(e, d.Pos) {
-			b = c.Fee + cm.env[j].Lower(e) + row[j]
+		if c.fitsAlone(d.Demand, d.Pos) {
+			b = c.Fee + cm.chord[j].Lower(d.Demand) + row[j]
 			if b < firstBound {
 				first, firstBound = j, b
 			}
@@ -577,17 +584,17 @@ func (cm *CostModel) SetTariff(j int, t pricing.Tariff) error {
 	if t == nil {
 		return fmt.Errorf("core: charger %d (%s) has no tariff", j, cm.inst.Chargers[j].ID)
 	}
-	var sumDemand, maxDemand float64
+	var sumDemand float64
 	for _, d := range cm.inst.Devices {
 		sumDemand += d.Demand
-		maxDemand = math.Max(maxDemand, d.Demand)
 	}
 	c := &cm.inst.Chargers[j]
 	if err := pricing.Validate(t, sumDemand/c.Efficiency+1, 64); err != nil {
 		return fmt.Errorf("core: charger %d (%s): %w", j, c.ID, err)
 	}
 	c.Tariff = t
-	cm.env[j] = pricing.NewEnvelope(t, maxDemand/c.Efficiency)
+	lo, hi := demandRange(cm.inst.Devices)
+	cm.chord[j] = pricing.NewChord(t, c.Efficiency, lo, hi)
 	for i := range cm.inst.Devices {
 		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(cm.inst.Devices[i], cm.move[i])
 	}

@@ -295,7 +295,7 @@ func TestShareMemoPricesFewerTariffs(t *testing.T) {
 }
 
 // opaqueTariff hides a tariff's closed form, so the cost model gives it
-// no envelope and bounds its prices by zero.
+// no chord and bounds its prices by zero.
 type opaqueTariff struct{ pricing.Tariff }
 
 // skipTestTariff draws a random concave tariff: linear (sometimes free,
@@ -393,12 +393,12 @@ func requireStandaloneMatchesPlainScan(t *testing.T, cm *CostModel, tag string) 
 }
 
 // TestStandaloneSkipMatchesPlainScan is the differential referee for the
-// envelope skip in standaloneFor: over linear, power-law, tiered and
-// envelope-less tariffs, capacities, budgeted mobile chargers, duplicate
+// chord skip in standaloneFor: over linear, power-law, tiered and
+// chordless tariffs, capacities, budgeted mobile chargers, duplicate
 // chargers and m > 64, every device's (standalone cost, charger) must
 // equal the plain scan's — after the build and after every op of a delta
-// stream of AddDevice (demands above the envelope grid), UpdateDevice,
-// RemoveDevice and SetTariff.
+// stream of AddDevice and UpdateDevice (often with demands above or
+// below the build-time demand range), RemoveDevice and SetTariff.
 func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 	r := rand.New(rand.NewSource(2121))
 	for trial := 0; trial < 40; trial++ {
@@ -423,21 +423,23 @@ func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 		if trial%4 == 1 {
 			continue // warmInstance's capacities may not fit grown demands
 		}
+		lo, hi := demandRange(cm.Instance().Devices)
 		for op := 0; op < 12; op++ {
-			var maxDemand float64
-			for _, d := range cm.Instance().Devices {
-				maxDemand = math.Max(maxDemand, d.Demand)
-			}
 			d := Device{
 				ID:       fmt.Sprintf("op-%d", op),
 				Pos:      geom.UniformPoints(r, in.Field, 1)[0],
 				Demand:   50 + r.Float64()*300,
 				MoveRate: 0.005 + r.Float64()*0.02,
 			}
+			switch r.Intn(3) {
+			case 0:
+				d.Demand = hi * (1 + r.Float64()*2)
+			case 1:
+				d.Demand = lo * r.Float64()
+			}
 			var err error
 			switch k := r.Intn(4); {
 			case k == 0:
-				d.Demand = maxDemand * (1 + r.Float64()*2)
 				err = cm.AddDevice(d)
 			case k == 1 && cm.NumDevices() > 1:
 				err = cm.RemoveDevice(r.Intn(cm.NumDevices()))
@@ -452,8 +454,8 @@ func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 				tariff := skipTestTariff(r)
 				if r.Intn(2) == 0 {
 					// Far cheaper than any tariff drawn at build time:
-					// the charger must win devices its old envelope
-					// would have ruled out.
+					// the charger must win devices its old chord would
+					// have ruled out.
 					tariff = pricing.PowerLaw{Coeff: 0.001 + r.Float64()*0.01, Exponent: 0.5}
 				}
 				err = cm.SetTariff(j, tariff)
