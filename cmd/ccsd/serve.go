@@ -18,7 +18,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -658,7 +657,7 @@ func (s *solveServer) serveJSON(conn net.Conn, br *bufio.Reader) {
 func (s *solveServer) answerLine(rb *replyBuf, line []byte) []byte {
 	var sum [32]byte
 	if s.raw != nil {
-		sum = sha256.Sum256(line)
+		sum = s.raw.Key(line)
 		if out, ok := s.raw.Get(sum); ok {
 			s.requests.Add(1)
 			return out

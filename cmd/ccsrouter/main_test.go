@@ -3,12 +3,17 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
+	"os/exec"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -28,6 +33,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("%s: run accepted %v", name, args)
 		}
+	}
+}
+
+// TestRunFIPSOnly: where the runtime refuses the replay tier's keyed
+// digest (GCM with a fixed nonce, under GODEBUG=fips140=only), the
+// router exits non-zero naming the refusal instead of running without
+// it. The mode is read at start-up, so the test reruns itself.
+func TestRunFIPSOnly(t *testing.T) {
+	if testutil.InRerun() {
+		os.Args = []string{"ccsrouter", "-listen", "127.0.0.1:0", "-backends", "127.0.0.1:1"}
+		main()
+		return
+	}
+	out, err := testutil.RerunUnder(t, "fips140=only")
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("ccsrouter under fips140=only ended with %v, want exit status 1\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("ccsrouter: instcache: raw-tier key: crypto/cipher: ")) || !bytes.Contains(out, []byte("FIPS 140-only mode")) {
+		t.Fatalf("ccsrouter under fips140=only did not name the GCM refusal:\n%s", out)
 	}
 }
 

@@ -898,12 +898,13 @@ func (g *chargerGame) buildChord(j int) {
 	ch := &g.in.Chargers[j]
 	g.chord[j] = chordEnd{}
 	k := 0.0
-	if x := g.chordDemand / ch.Efficiency; !ch.Mobile && pricing.PowerLawOver(ch.Tariff, x) {
-		px := ch.Tariff.Price(x)
-		g.chord[j] = chordEnd{x: x, px: px}
-		if c := (ch.Fee + px) * chordMargin; c >= chordMinCharge {
-			if f := c / x / ch.Efficiency; f >= 1/floorRange && f <= floorRange {
-				k = f
+	if x := g.chordDemand / ch.Efficiency; !ch.Mobile {
+		if px, ok := pricing.PowerLawOver(ch.Tariff, x); ok {
+			g.chord[j] = chordEnd{x: x, px: px}
+			if c := (ch.Fee + px) * chordMargin; c >= chordMinCharge {
+				if f := c / x / ch.Efficiency; f >= 1/floorRange && f <= floorRange {
+					k = f
+				}
 			}
 		}
 	}

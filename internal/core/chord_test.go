@@ -357,8 +357,9 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 	case r.Float64() < 0.45:
 		j := r.Intn(cmA.NumChargers())
 		var t pricing.Tariff
+		_, powerLaw := pricing.PowerLawOver(in.Chargers[j].Tariff, 1)
 		switch {
-		case !pricing.PowerLawOver(in.Chargers[j].Tariff, 1):
+		case !powerLaw:
 			t = chordTariff(r)
 		case r.Intn(2) == 0:
 			t = pricing.Linear{Rate: 0.001 + 0.05*r.Float64()}

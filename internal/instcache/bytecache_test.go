@@ -1,11 +1,15 @@
 package instcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 func TestByteCacheGetPutEvict(t *testing.T) {
@@ -165,4 +169,126 @@ func TestByteCacheConcurrentStatsAccounting(t *testing.T) {
 	if st.Size > st.Capacity || st.Size == 0 {
 		t.Errorf("final size %d out of (0, %d]", st.Size, st.Capacity)
 	}
+}
+
+func mustBytes(t testing.TB, capacity int) *ByteCache {
+	t.Helper()
+	c, err := NewBytes(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestByteCacheKeyPerCache: within one cache a line always gets the same
+// key, the 16-byte tag zero-extended; a second cache, with a key of its
+// own, gives the same line another key.
+func TestByteCacheKeyPerCache(t *testing.T) {
+	a, b := mustBytes(t, 4), mustBytes(t, 4)
+	lines := [][]byte{nil, []byte("x"), []byte(`{"stats":true}`), bytes.Repeat([]byte("0123456789abcdef"), 1000)}
+	for _, line := range lines {
+		k := a.Key(line)
+		if again := a.Key(append([]byte(nil), line...)); again != k {
+			t.Errorf("%.20q: keys %x and %x in one cache", line, k, again)
+		}
+		if [16]byte(k[16:]) != [16]byte{} {
+			t.Errorf("%.20q: key %x not zero-extended", line, k)
+		}
+		if other := b.Key(line); other == k {
+			t.Errorf("%.20q: two caches share key %x", line, k)
+		}
+	}
+	if a.Key(nil) != a.Key([]byte{}) {
+		t.Error("nil and empty lines got different keys")
+	}
+}
+
+// TestByteCacheKeyConcurrent runs Key, Get and Put on one cache from many
+// goroutines (CI runs it under -race); every goroutine must see every
+// line's one key and only that line's value under it.
+func TestByteCacheKeyConcurrent(t *testing.T) {
+	c := mustBytes(t, 64)
+	lines := make([][]byte, 48)
+	want := make([][32]byte, len(lines))
+	for i := range lines {
+		lines[i] = []byte(strings.Repeat(fmt.Sprintf("line %d;", i), 1+i*7))
+		want[i] = c.Key(lines[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 400; k++ {
+				i := (g*13 + k) % len(lines)
+				key := c.Key(lines[i])
+				if key != want[i] {
+					t.Errorf("line %d: key %x, want %x", i, key, want[i])
+					return
+				}
+				if v, ok := c.Get(key); ok && !bytes.Equal(v, lines[i][:1+i%5]) {
+					t.Errorf("line %d: value %q under its key", i, v)
+					return
+				}
+				c.Put(key, lines[i][:1+i%5])
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestByteCacheKeyAllocs pins Key at zero allocations.
+func TestByteCacheKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	c := mustBytes(t, 4)
+	line := bytes.Repeat([]byte("{\"instance\":1}"), 2000)
+	var sink [32]byte
+	if n := testing.AllocsPerRun(200, func() { sink = c.Key(line) }); n != 0 {
+		t.Errorf("Key allocates %v objects per call, want 0", n)
+	}
+	_ = sink
+}
+
+// TestNewBytesFIPSOnly: in FIPS 140-only mode the runtime refuses GCM
+// with a fixed nonce; NewBytes must return that refusal rather than fall
+// back to another key. The mode is read at start-up, so the test reruns
+// itself under GODEBUG=fips140=only.
+func TestNewBytesFIPSOnly(t *testing.T) {
+	if testutil.InRerun() {
+		c, err := NewBytes(8)
+		fmt.Printf("NewBytes: cache %v, error: %v\n", c != nil, err)
+		return
+	}
+	out, err := testutil.RerunUnder(t, "fips140=only")
+	if err != nil {
+		t.Fatalf("rerun: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte("NewBytes: cache false, error: instcache: raw-tier key: ")) ||
+		!bytes.Contains(out, []byte("FIPS 140-only mode")) {
+		t.Fatalf("under fips140=only NewBytes did not fail on GCM:\n%s", out)
+	}
+}
+
+// FuzzRawKey: over one cache, distinct lines never share a key and equal
+// lines always do.
+func FuzzRawKey(f *testing.F) {
+	c := mustBytes(f, 1)
+	long := bytes.Repeat([]byte("0123456789abcdef"), 64)
+	f.Add([]byte{}, []byte{0})
+	f.Add([]byte("x"), []byte("x"))
+	f.Add([]byte("x"), []byte("x\n"))
+	f.Add(long, append(long[:len(long):len(long)], 0))
+	f.Add(long, long[:len(long)-1])
+	f.Add(long, append(bytes.Clone(long[:len(long)-1]), 'g'))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		ka, kb := c.Key(a), c.Key(b)
+		if again := c.Key(bytes.Clone(a)); again != ka {
+			t.Fatalf("%q: keys %x and %x", a, ka, again)
+		}
+		if equal := bytes.Equal(a, b); equal != (ka == kb) {
+			t.Fatalf("%q and %q (equal %v): keys %x and %x", a, b, equal, ka, kb)
+		}
+	})
 }

@@ -53,18 +53,35 @@ func unwrap(t Tariff) Tariff {
 	}
 }
 
+// checkedTop returns t.Price(maxEnergy) and whether t is, through
+// Unwrapper decorators, a closed form concaveByForm accepts over
+// [0, maxEnergy]. A bare PowerLaw reuses the price the check computed;
+// any other accepted tariff is priced, so a decorator still sees (and
+// may count) the call.
+func checkedTop(t Tariff, maxEnergy float64) (float64, bool) {
+	top, ok := concaveByForm(unwrap(t), maxEnergy, 3)
+	if _, bare := t.(PowerLaw); ok && !bare {
+		top = t.Price(maxEnergy)
+	}
+	return top, ok
+}
+
 // PowerLawOver reports whether t prices as a PowerLaw — itself, or
 // through Unwrapper decorators — inside concaveByForm's analytic region
 // over [0, maxEnergy]: exponent in [2⁻¹⁰, 1], coefficient ≥ 0, maxEnergy
 // in [1e-250, 1e250] and a top price ≤ 1e300. There every price up to
 // maxEnergy is finite and, where normal, carries only math.Pow's ~1e-13
-// relative error.
-func PowerLawOver(t Tariff, maxEnergy float64) bool {
-	p, ok := unwrap(t).(PowerLaw)
-	return ok && concaveByForm(p, maxEnergy, 3)
+// relative error. When it does, top is t.Price(maxEnergy), priced once
+// (see checkedTop).
+func PowerLawOver(t Tariff, maxEnergy float64) (top float64, ok bool) {
+	if _, isPow := unwrap(t).(PowerLaw); !isPow {
+		return 0, false
+	}
+	return checkedTop(t, maxEnergy)
 }
 
-// NewChord prices t at lo/eff and hi/eff — once when lo == hi — and
+// NewChord prices t at lo/eff and hi/eff — once when lo == hi, and for a
+// bare PowerLaw at hi/eff only in the form check (see checkedTop) — and
 // returns the chord through those prices for demands in [lo, hi]. Only
 // the closed forms concaveByForm accepts over [0, hi/eff] get one
 // (looking through Unwrapper decorators); any other tariff, or an empty
@@ -94,7 +111,11 @@ func PowerLawOver(t Tariff, maxEnergy float64) bool {
 //     φ(d/eff) ≥ 1e-290, so the margin is worth at least 1e-299, while a
 //     subnormal term is off by under 1e-320.
 func NewChord(t Tariff, eff, lo, hi float64) Chord {
-	if !(lo <= hi) || !concaveByForm(unwrap(t), hi/eff, 3) {
+	if !(lo <= hi) {
+		return Chord{}
+	}
+	top, ok := checkedTop(t, hi/eff)
+	if !ok {
 		return Chord{}
 	}
 	// Every demand from lo on must buy at least formMinEnergy, where the
@@ -103,7 +124,7 @@ func NewChord(t Tariff, eff, lo, hi float64) Chord {
 	if !(lo/eff >= formMinEnergy) {
 		lo = hi
 	}
-	pHi := t.Price(hi/eff) * chordMargin
+	pHi := top * chordMargin
 	c := Chord{lo: lo, hi: hi}
 	if pHi >= chordMinPrice {
 		c.top = pHi

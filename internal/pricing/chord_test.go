@@ -200,8 +200,66 @@ func TestPowerLawOver(t *testing.T) {
 		{"range above the analytic region", pow, 1e260, false},
 		{"top price above 1e300", PowerLaw{Coeff: 1e299, Exponent: 1}, 100, false},
 	} {
-		if got := PowerLawOver(tt.tariff, tt.maxEnergy); got != tt.want {
+		if _, got := PowerLawOver(tt.tariff, tt.maxEnergy); got != tt.want {
 			t.Errorf("%s: PowerLawOver = %v, want %v", tt.name, got, tt.want)
 		}
+	}
+}
+
+// countingMeter is a meter that counts its prices.
+type countingMeter struct {
+	Tariff
+	n *int
+}
+
+func (m countingMeter) Unwrap() Tariff { return m.Tariff }
+
+func (m countingMeter) Price(e float64) float64 { *m.n++; return m.Tariff.Price(e) }
+
+// TestCheckedTopIsPrice: the top price a bare power law's form check
+// computes, which PowerLawOver returns and NewChord scales, is bit for bit
+// t.Price at the right end, over random coefficients, exponents,
+// efficiencies and demands; a decorated power law is priced there through
+// its decorator, exactly once, to the same bits.
+func TestCheckedTopIsPrice(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	checked := 0
+	for k := 0; k < 20000; k++ {
+		p := PowerLaw{
+			Coeff:    math.Pow(10, -8+16*r.Float64()),
+			Exponent: formMinExponent + (1-formMinExponent)*r.Float64(),
+		}
+		switch k % 8 {
+		case 0:
+			p.Exponent = 1
+		case 1:
+			p.Exponent = formMinExponent
+		}
+		eff := math.Pow(10, -3*r.Float64())
+		hi := math.Pow(10, -260+520*r.Float64())
+		want := p.Price(hi / eff)
+		top, ok := PowerLawOver(p, hi/eff)
+		if !ok {
+			continue
+		}
+		checked++
+		if math.Float64bits(top) != math.Float64bits(want) {
+			t.Fatalf("%#v at %v J: checked top %v, Price %v", p, hi/eff, top, want)
+		}
+		n := 0
+		if top, _ := PowerLawOver(countingMeter{p, &n}, hi/eff); n != 1 || math.Float64bits(top) != math.Float64bits(want) {
+			t.Fatalf("%#v at %v J decorated: top %v after %d prices, want %v after 1", p, hi/eff, top, n, want)
+		}
+		c := NewChord(p, eff, hi/2, hi)
+		if pHi := want * chordMargin; pHi >= chordMinPrice && math.Float64bits(c.top) != math.Float64bits(pHi) {
+			t.Fatalf("%#v over [%v, %v]/%v: chord top %v, want %v", p, hi/2, hi, eff, c.top, pHi)
+		}
+		n = 0
+		if d := NewChord(countingMeter{p, &n}, eff, hi/2, hi); d != c || n > 2 {
+			t.Fatalf("%#v over [%v, %v]/%v decorated: chord %+v after %d prices, want %+v", p, hi/2, hi, eff, d, n, c)
+		}
+	}
+	if checked < 10000 {
+		t.Fatalf("only %d of 20000 draws inside the analytic region", checked)
 	}
 }

@@ -8,9 +8,9 @@
 //
 // Four layers stand between a request and a backend solve:
 //
-//  1. a router-local replay tier (instcache.ByteCache keyed by the raw
-//     request hash) answers fleet-wide byte-identical duplicates without
-//     touching any backend;
+//  1. a router-local replay tier (instcache.ByteCache, keyed by the
+//     cache's own keyed hash of the raw request line) answers fleet-wide
+//     byte-identical duplicates without touching any backend;
 //  2. a fleet-wide singleflight coalesces concurrent solves of the same
 //     fingerprint into one backend request — duplicates across many
 //     client connections ride one upstream round trip;
@@ -28,7 +28,6 @@ package router
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -287,7 +286,7 @@ func (rt *Router) handleLine(line []byte, sessionBackend **backend) []byte {
 	// or a stateful response.
 	var sum [32]byte
 	if rt.replay != nil {
-		sum = sha256Line(line)
+		sum = rt.replay.Key(line)
 		if out, ok := rt.replay.Get(sum); ok {
 			rt.replayHits.Add(1)
 			return out
@@ -472,9 +471,6 @@ func (rt *Router) sessionForward(line []byte, b *backend) []byte {
 	}
 	return resp
 }
-
-// sha256Line hashes a raw request line for the replay tier.
-func sha256Line(line []byte) [32]byte { return sha256.Sum256(line) }
 
 // serveConn sniffs the protocol and dispatches, mirroring ccsd.
 func (rt *Router) serveConn(conn net.Conn) {
