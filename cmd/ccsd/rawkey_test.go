@@ -105,13 +105,16 @@ func TestRawReplayAllocs(t *testing.T) {
 // TestServeFIPSOnly: where the runtime refuses the raw tier's keyed
 // digest (GCM with a fixed nonce, under GODEBUG=fips140=only), ccsd
 // -serve exits non-zero naming the refusal instead of serving without
-// it. The mode is read at start-up, so the test reruns itself.
+// it. The mode is read at start-up, so the test reruns itself. The
+// listen address has no port, so a ccsd that got past the cache would
+// exit at once on a listen error rather than serve.
 func TestServeFIPSOnly(t *testing.T) {
 	if testutil.InRerun() {
-		os.Args = []string{"ccsd", "-serve", "-listen", "127.0.0.1:0"}
+		os.Args = []string{"ccsd", "-serve", "-listen", "127.0.0.1"}
 		main()
 		return
 	}
+	testutil.SkipWithoutFIPS140(t)
 	out, err := testutil.RerunUnder(t, "fips140=only")
 	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("ccsd -serve under fips140=only ended with %v, want exit status 1\n%s", err, out)

@@ -39,13 +39,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestRunFIPSOnly: where the runtime refuses the replay tier's keyed
 // digest (GCM with a fixed nonce, under GODEBUG=fips140=only), the
 // router exits non-zero naming the refusal instead of running without
-// it. The mode is read at start-up, so the test reruns itself.
+// it. The mode is read at start-up, so the test reruns itself. The
+// listen address has no port, so a router that got past the cache would
+// exit at once on a listen error rather than run.
 func TestRunFIPSOnly(t *testing.T) {
 	if testutil.InRerun() {
-		os.Args = []string{"ccsrouter", "-listen", "127.0.0.1:0", "-backends", "127.0.0.1:1"}
+		os.Args = []string{"ccsrouter", "-listen", "127.0.0.1", "-backends", "127.0.0.1:1"}
 		main()
 		return
 	}
+	testutil.SkipWithoutFIPS140(t)
 	out, err := testutil.RerunUnder(t, "fips140=only")
 	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
 		t.Fatalf("ccsrouter under fips140=only ended with %v, want exit status 1\n%s", err, out)

@@ -261,6 +261,7 @@ func TestNewBytesFIPSOnly(t *testing.T) {
 		fmt.Printf("NewBytes: cache %v, error: %v\n", c != nil, err)
 		return
 	}
+	testutil.SkipWithoutFIPS140(t)
 	out, err := testutil.RerunUnder(t, "fips140=only")
 	if err != nil {
 		t.Fatalf("rerun: %v\n%s", err, out)

@@ -55,15 +55,17 @@ func unwrap(t Tariff) Tariff {
 
 // checkedTop returns t.Price(maxEnergy) and whether t is, through
 // Unwrapper decorators, a closed form concaveByForm accepts over
-// [0, maxEnergy]. A bare PowerLaw reuses the price the check computed;
+// [0, maxEnergy]. A bare PowerLaw reuses the price its check computed;
 // any other accepted tariff is priced, so a decorator still sees (and
 // may count) the call.
 func checkedTop(t Tariff, maxEnergy float64) (float64, bool) {
-	top, ok := concaveByForm(unwrap(t), maxEnergy, 3)
-	if _, bare := t.(PowerLaw); ok && !bare {
-		top = t.Price(maxEnergy)
+	if p, bare := t.(PowerLaw); bare {
+		return powerLawTop(p, maxEnergy)
 	}
-	return top, ok
+	if !concaveByForm(unwrap(t), maxEnergy, 3) {
+		return 0, false
+	}
+	return t.Price(maxEnergy), true
 }
 
 // PowerLawOver reports whether t prices as a PowerLaw — itself, or
@@ -71,13 +73,19 @@ func checkedTop(t Tariff, maxEnergy float64) (float64, bool) {
 // over [0, maxEnergy]: exponent in [2⁻¹⁰, 1], coefficient ≥ 0, maxEnergy
 // in [1e-250, 1e250] and a top price ≤ 1e300. There every price up to
 // maxEnergy is finite and, where normal, carries only math.Pow's ~1e-13
-// relative error. When it does, top is t.Price(maxEnergy), priced once
-// (see checkedTop).
+// relative error. When it does, top is t.Price(maxEnergy), priced once:
+// by the check for a bare PowerLaw, through the decorators otherwise.
 func PowerLawOver(t Tariff, maxEnergy float64) (top float64, ok bool) {
-	if _, isPow := unwrap(t).(PowerLaw); !isPow {
+	p, isPow := unwrap(t).(PowerLaw)
+	if !isPow {
 		return 0, false
 	}
-	return checkedTop(t, maxEnergy)
+	if top, ok = powerLawTop(p, maxEnergy); ok {
+		if _, bare := t.(PowerLaw); !bare {
+			top = t.Price(maxEnergy)
+		}
+	}
+	return top, ok
 }
 
 // NewChord prices t at lo/eff and hi/eff — once when lo == hi, and for a

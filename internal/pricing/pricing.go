@@ -158,10 +158,8 @@ func (t *Tiered) Tiers() []Tier {
 // the region the grid check accepts, so the verdict and any error are
 // exactly the grid check's.
 func Validate(tariff Tariff, maxEnergy float64, samples int) error {
-	if samples >= 3 {
-		if _, ok := concaveByForm(unwrap(tariff), maxEnergy, samples); ok {
-			return nil
-		}
+	if samples >= 3 && concaveByForm(unwrap(tariff), maxEnergy, samples) {
+		return nil
 	}
 	return spotCheck(tariff, maxEnergy, samples)
 }
@@ -179,9 +177,7 @@ const (
 )
 
 // concaveByForm reports whether tariff is one of the closed forms that
-// provably passes spotCheck(tariff, maxEnergy, samples) with samples >= 3.
-// For a PowerLaw, top is the top price the check computes, bit for bit
-// tariff.Price(maxEnergy); for the other forms it is 0.
+// provably passes spotCheck(tariff, maxEnergy, samples) with samples >= 3:
 //
 //   - Linear with a rate >= 0 and a top price Rate·maxEnergy <= 1e300:
 //     IEEE multiplication rounds monotonically, so the grid prices never
@@ -208,33 +204,45 @@ const (
 // maxEnergy must lie in [1e-250, 1e250] so the grid points are normal
 // floats carrying their relative error. Outside this region Validate
 // falls back to the grid check, so the region only has to be a subset.
-func concaveByForm(tariff Tariff, maxEnergy float64, samples int) (top float64, ok bool) {
-	if !(maxEnergy >= formMinEnergy && maxEnergy <= formMaxEnergy) || samples > formMaxSamples {
-		return 0, false
+func concaveByForm(tariff Tariff, maxEnergy float64, samples int) bool {
+	if !formEnergy(maxEnergy) || samples > formMaxSamples {
+		return false
 	}
 	switch tf := tariff.(type) {
 	case Linear:
-		return 0, tf.Rate >= 0 && tf.Rate*maxEnergy <= formMaxPrice
+		return tf.Rate >= 0 && tf.Rate*maxEnergy <= formMaxPrice
 	case PowerLaw:
-		if !(tf.Exponent >= formMinExponent && tf.Exponent <= 1 && tf.Coeff >= 0) {
-			return 0, false
-		}
-		// Price's own expression (maxEnergy > 0 here), so callers can
-		// reuse top as Price(maxEnergy).
-		top = tf.Coeff * math.Pow(maxEnergy, tf.Exponent)
-		return top, top <= formMaxPrice
+		_, ok := powerLawTop(tf, maxEnergy)
+		return ok
 	case *Tiered:
 		if len(tf.tiers) > formMaxTiers || !(tf.tiers[0].Rate*maxEnergy <= formMaxPrice) {
-			return 0, false
+			return false
 		}
 		for _, tr := range tf.tiers {
 			if !(tr.Rate > 0) || !(tr.UpTo >= 0) {
-				return 0, false
+				return false
 			}
 		}
-		return 0, true
+		return true
 	}
-	return 0, false
+	return false
+}
+
+// formEnergy reports whether maxEnergy lies in concaveByForm's region.
+func formEnergy(maxEnergy float64) bool {
+	return maxEnergy >= formMinEnergy && maxEnergy <= formMaxEnergy
+}
+
+// powerLawTop reports whether concaveByForm accepts p over [0, maxEnergy]
+// and returns the top price it checks, which is bit for bit
+// p.Price(maxEnergy), so callers need not price the right end again.
+func powerLawTop(p PowerLaw, maxEnergy float64) (top float64, ok bool) {
+	if !formEnergy(maxEnergy) || !(p.Exponent >= formMinExponent && p.Exponent <= 1 && p.Coeff >= 0) {
+		return 0, false
+	}
+	// Price's own expression (maxEnergy > 0 here).
+	top = p.Coeff * math.Pow(maxEnergy, p.Exponent)
+	return top, top <= formMaxPrice
 }
 
 // spotCheck prices tariff on an even grid of samples energies up to

@@ -214,7 +214,7 @@ func TestConcaveByFormAcceptsServiceTariffs(t *testing.T) {
 		{PowerLaw{Coeff: 0.2, Exponent: 1}, 1e9},
 		{MustTiered([]Tier{{UpTo: 100, Rate: 2}, {UpTo: math.Inf(1), Rate: 1}}), 1e4},
 	} {
-		if _, ok := concaveByForm(tt.tariff, tt.maxEnergy, 64); !ok {
+		if !concaveByForm(tt.tariff, tt.maxEnergy, 64) {
 			t.Errorf("%s over %v J: not accepted analytically", tt.tariff.Name(), tt.maxEnergy)
 		}
 		if err := spotCheck(tt.tariff, tt.maxEnergy, 64); err != nil {
@@ -257,7 +257,7 @@ func TestConcaveByFormInsideSpotCheck(t *testing.T) {
 			}
 			tariff = tr
 		}
-		if _, ok := concaveByForm(tariff, maxEnergy, samples); !ok {
+		if !concaveByForm(tariff, maxEnergy, samples) {
 			continue
 		}
 		accepted++

@@ -2,8 +2,10 @@ package testutil
 
 import (
 	"context"
+	"go/version"
 	"os"
 	"os/exec"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -26,4 +28,14 @@ func RerunUnder(t *testing.T, godebug string) ([]byte, error) {
 	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1", "-test.v")
 	cmd.Env = append(os.Environ(), "GODEBUG="+godebug, childEnv+"=1")
 	return cmd.CombinedOutput()
+}
+
+// SkipWithoutFIPS140 skips t on a Go release older than go1.24, which
+// has no GODEBUG=fips140 setting: there GCM accepts a fixed nonce
+// whatever the setting, so there is no FIPS 140-only refusal to test.
+func SkipWithoutFIPS140(t *testing.T) {
+	t.Helper()
+	if v := runtime.Version(); version.IsValid(v) && version.Compare(v, "go1.24") < 0 {
+		t.Skipf("%s has no fips140 GODEBUG setting (go1.24 added it)", v)
+	}
 }
