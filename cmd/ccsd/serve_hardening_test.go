@@ -145,9 +145,9 @@ func TestServeDrainWaitsForInflight(t *testing.T) {
 	// Let the server pick the request up and enter the (stretched) solve.
 	time.Sleep(50 * time.Millisecond)
 
-	srv.beginShutdown()
+	srv.BeginShutdown()
 	start := time.Now()
-	if !srv.drain(10 * time.Second) {
+	if !srv.Drain(10 * time.Second) {
 		t.Error("drain timed out and force-closed connections")
 	}
 	if waited := time.Since(start); waited < 200*time.Millisecond {
@@ -373,9 +373,9 @@ func TestServeDrainWaitsForInflightDelta(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	srv.beginShutdown()
+	srv.BeginShutdown()
 	start := time.Now()
-	if !srv.drain(10 * time.Second) {
+	if !srv.Drain(10 * time.Second) {
 		t.Error("drain timed out and force-closed connections")
 	}
 	if waited := time.Since(start); waited < 200*time.Millisecond {

@@ -373,7 +373,7 @@ func BenchmarkServeColdLargeField(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	go func() { _ = srv.serve(l) }()
+	go func() { _ = srv.Serve(l) }()
 	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		b.Fatal(err)

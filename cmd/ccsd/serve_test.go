@@ -82,7 +82,7 @@ func startServerOpts(t *testing.T, opts serveOpts) (*solveServer, func() net.Con
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = l.Close() })
-	go func() { _ = srv.serve(l) }()
+	go func() { _ = srv.Serve(l) }()
 	return srv, func() net.Conn {
 		conn, err := net.Dial("tcp", l.Addr().String())
 		if err != nil {
@@ -355,7 +355,7 @@ func benchServe(b *testing.B, cacheSize int, withMetrics bool) {
 		b.Fatal(err)
 	}
 	defer func() { _ = l.Close() }()
-	go func() { _ = srv.serve(l) }()
+	go func() { _ = srv.Serve(l) }()
 
 	const distinct = 8
 	lines := make([][]byte, distinct)

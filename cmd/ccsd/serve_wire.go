@@ -32,14 +32,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
-	"os"
 	"strconv"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/wire"
@@ -54,58 +50,28 @@ const (
 )
 
 // serveBinary speaks the frame protocol until the client hangs up, a
-// read fails, the idle timeout fires, or the server drains. Malformed
-// frames get a final TError frame before the hangup — same
+// read fails, the idle timeout fires, or the server drains. A read
+// failure is accounted by netserve; an oversized payload or a truncated
+// or garbled frame (bad magic mid-stream, wrong version, overflowing
+// length) gets a final TError frame before the hangup — same
 // never-silent policy as the JSON path.
 func (s *solveServer) serveBinary(conn net.Conn, br *bufio.Reader) {
 	r := wire.NewReader(br, maxRequestBytes)
 	defer r.Release()
 	w := wire.NewWriter(conn)
 	var scratch []byte // response payload build buffer, reused per frame
-	for {
-		if s.closing.Load() {
-			return
-		}
-		if s.idleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
-		}
+	for s.Next(conn) {
 		typ, payload, err := r.ReadFrame()
 		if err != nil {
-			s.binaryEnded(conn, w, err)
+			if msg := s.Ended(conn, err); msg != "" {
+				_ = w.WriteFrame(wire.TError, []byte(msg))
+			}
 			return
 		}
 		var ok bool
 		if scratch, ok = s.handleFrame(w, typ, payload, scratch); !ok {
 			return
 		}
-	}
-}
-
-// binaryEnded classifies the read failure that ended a binary
-// connection, mirroring serveJSON's postmortem: oversized payloads get
-// an error frame and a failure count, idle reaps and protocol garbage
-// are counted and logged.
-func (s *solveServer) binaryEnded(conn net.Conn, w *wire.Writer, err error) {
-	switch {
-	case errors.Is(err, io.EOF):
-		// clean hangup between frames
-	case errors.Is(err, wire.ErrTooLarge):
-		s.requests.Add(1)
-		s.failures.Add(1)
-		s.met.oversized.Inc()
-		s.log.Event("request_too_large", "remote", remoteAddr(conn), "limit_bytes", maxRequestBytes)
-		_ = w.WriteFrame(wire.TError, []byte("request too large"))
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		if !s.closing.Load() {
-			s.met.idleClosed.Inc()
-			s.log.Event("conn_idle_closed", "remote", remoteAddr(conn), "idle_timeout", s.idleTimeout)
-		}
-	default:
-		// Truncated or garbled frames (bad magic mid-stream, wrong
-		// version, overflowing length): tell the client, then hang up.
-		s.met.readErrors.Inc()
-		s.log.Event("conn_read_error", "remote", remoteAddr(conn), "err", err)
-		_ = w.WriteFrame(wire.TError, []byte(err.Error()))
 	}
 }
 

@@ -30,7 +30,9 @@ func (rt *Router) serveBinary(conn net.Conn, br *bufio.Reader) {
 	r := wire.NewReader(br, maxRequestBytes)
 	typ, payload, err := r.ReadFrame()
 	if err != nil {
-		_ = w.WriteFrame(wire.TError, []byte("bad first frame: "+err.Error()))
+		if msg := rt.Ended(conn, err); msg != "" {
+			_ = w.WriteFrame(wire.TError, []byte(msg))
+		}
 		return
 	}
 	h := rt.binaryKeyHash(typ, payload)

@@ -19,7 +19,6 @@ func (rt *Router) register(reg *obs.Registry) {
 	reg.CounterFunc("ccsrouter_shed_total", func() float64 { return float64(rt.shed.Load()) })
 	reg.CounterFunc("ccsrouter_failovers_total", func() float64 { return float64(rt.failovers.Load()) })
 	reg.CounterFunc("ccsrouter_binary_conns_total", func() float64 { return float64(rt.binConns.Load()) })
-	rt.inflightConns = reg.Gauge("ccsrouter_inflight_connections")
 	if rt.replay != nil {
 		// A size, not a count: it shrinks on eviction, so it is a gauge.
 		reg.GaugeFunc("ccsrouter_replay_entries", func() float64 { return float64(rt.replay.Stats().Size) })
