@@ -73,6 +73,21 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m")
 }
 
+// TestFamilyTypeClashPanics pins that one family cannot be exported under
+// two Prometheus types, even on disjoint label sets: the exposition has
+// one # TYPE line per family.
+func TestFamilyTypeClashPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("m_total", "tier", "a")
+	r.CounterFunc("m_total", func() float64 { return 0 }, "tier", "b") // same type: fine
+	defer func() {
+		if recover() == nil {
+			t.Error("registering a counter family's new label set as a gauge did not panic")
+		}
+	}()
+	r.Gauge("m_total", "tier", "c")
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zreq_total", "code", "200").Add(3)

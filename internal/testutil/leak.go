@@ -10,23 +10,23 @@ import (
 	"time"
 )
 
-// CheckGoroutines snapshots the goroutines whose stacks mention pkgSubstr
-// (e.g. "internal/testbed") and registers a cleanup that fails the test if
-// more such goroutines exist at test end than at the start. Goroutines
-// wind down asynchronously after a Close, so the cleanup polls up to
-// 2 seconds before declaring a leak, and dumps the leaked stacks.
+// CheckGoroutines snapshots the goroutines whose stacks mention any of
+// pkgSubstrs (e.g. "internal/testbed") and registers a cleanup that fails
+// the test if more such goroutines exist at test end than at the start.
+// Goroutines wind down asynchronously after a Close, so the cleanup polls
+// up to 2 seconds before declaring a leak, and dumps the leaked stacks.
 //
 // Matching on a package substring instead of raw runtime.NumGoroutine
 // keeps the guard immune to unrelated runtime/testing goroutines coming
 // and going in parallel tests.
-func CheckGoroutines(t testing.TB, pkgSubstr string) {
+func CheckGoroutines(t testing.TB, pkgSubstrs ...string) {
 	t.Helper()
-	before := len(stacksMatching(pkgSubstr))
+	before := len(stacksMatching(pkgSubstrs))
 	t.Cleanup(func() {
 		deadline := time.Now().Add(2 * time.Second)
 		var leaked []string
 		for {
-			leaked = stacksMatching(pkgSubstr)
+			leaked = stacksMatching(pkgSubstrs)
 			if len(leaked) <= before || time.Now().After(deadline) {
 				break
 			}
@@ -34,14 +34,14 @@ func CheckGoroutines(t testing.TB, pkgSubstr string) {
 		}
 		if len(leaked) > before {
 			t.Errorf("testutil: %d goroutine(s) in %q leaked (had %d at test start):\n%s",
-				len(leaked)-before, pkgSubstr, before, strings.Join(leaked, "\n"))
+				len(leaked)-before, pkgSubstrs, before, strings.Join(leaked, "\n"))
 		}
 	})
 }
 
 // stacksMatching returns the stack dump of every live goroutine whose
-// stack mentions substr, excluding the calling goroutine.
-func stacksMatching(substr string) []string {
+// stack mentions any of substrs, excluding the calling goroutine.
+func stacksMatching(substrs []string) []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -54,8 +54,14 @@ func stacksMatching(substr string) []string {
 	self := fmt.Sprintf("goroutine %d ", goroutineID())
 	var out []string
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, substr) && !strings.HasPrefix(g, self) {
-			out = append(out, g)
+		if strings.HasPrefix(g, self) {
+			continue
+		}
+		for _, sub := range substrs {
+			if strings.Contains(g, sub) {
+				out = append(out, g)
+				break
+			}
 		}
 	}
 	return out
