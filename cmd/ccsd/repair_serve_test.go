@@ -39,8 +39,8 @@ func repairBenchInstance(n int) *core.Instance {
 		})
 	}
 	tariffs := []pricing.Tariff{
-		pricing.Linear{Rate: 0.03},
-		pricing.PowerLaw{Coeff: 0.25, Exponent: 0.85},
+		pricing.Tariff{Kind: pricing.Linear, Rate: 0.03},
+		pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.25, Exponent: 0.85},
 		testutil.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
 	}
 	for j := 0; j < 12; j++ {

@@ -311,7 +311,7 @@ func coldServeLines(t testing.TB, n int) [][]byte {
 // Per-request allocation ceilings for the stateless cold path; before it
 // recycled its memory a request cost about 350 allocations and 122 KB.
 const (
-	maxColdAllocs = 40
+	maxColdAllocs = 20
 	maxColdBytes  = 24 << 10
 )
 

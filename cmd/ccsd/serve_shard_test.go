@@ -148,7 +148,7 @@ func TestServeShardInvalidInstanceSameError(t *testing.T) {
 		unreachable.Chargers[j].Capacity = 50
 	}
 	badTariff := serveInstance(24, 0)
-	badTariff.Chargers[1].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 2}
+	badTariff.Chargers[1].Tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 2}
 	for name, in := range map[string]*core.Instance{
 		"negative demand": negative,
 		"over capacity":   unreachable,

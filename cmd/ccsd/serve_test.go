@@ -37,7 +37,7 @@ func serveInstance(n int, nudge float64) *core.Instance {
 			ID:         fmt.Sprintf("c%d", j),
 			Pos:        geom.Pt(float64(200+300*j), 500),
 			Fee:        8,
-			Tariff:     pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9},
+			Tariff:     pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9},
 			Efficiency: 0.8,
 		})
 	}

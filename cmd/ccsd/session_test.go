@@ -53,8 +53,8 @@ func sessionInstance(n int, capacitated bool) *core.Instance {
 	// strong preference orderings keep the equilibrium landscape from
 	// being artificially symmetric.
 	tariffs := []pricing.Tariff{
-		pricing.Linear{Rate: 0.03},
-		pricing.PowerLaw{Coeff: 0.25, Exponent: 0.85},
+		pricing.Tariff{Kind: pricing.Linear, Rate: 0.03},
+		pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.25, Exponent: 0.85},
 		testutil.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}}),
 	}
 	for j := 0; j < 3; j++ {

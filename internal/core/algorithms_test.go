@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/pricing"
 )
 
 // bruteForceOptimal enumerates every partition of the devices (with the
@@ -157,7 +159,7 @@ func TestCCSAOracleModesAgreeOnLinearTariffs(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		in := randInstance(r, 9, 3)
 		for j := range in.Chargers {
-			in.Chargers[j].Tariff = pricingLinear(0.03)
+			in.Chargers[j].Tariff = pricing.Tariff{Kind: pricing.Linear, Rate: 0.03}
 		}
 		cm := mustCostModel(t, in)
 		sfm, err := CCSA(cm, CCSAOptions{Oracle: SFMOracle})
@@ -282,15 +284,3 @@ func TestCooperationBeatsNoncooperationOnFeeHeavyInstances(t *testing.T) {
 		t.Errorf("CCSA beat noncoop on only %d/%d fee-heavy instances", better, trials)
 	}
 }
-
-func pricingLinear(rate float64) linearTariff { return linearTariff{rate} }
-
-type linearTariff struct{ rate float64 }
-
-func (l linearTariff) Price(e float64) float64 {
-	if e <= 0 {
-		return 0
-	}
-	return l.rate * e
-}
-func (l linearTariff) Name() string { return "test-linear" }

@@ -23,9 +23,9 @@ func capacitatedInstance() *Instance {
 		},
 		Chargers: []Charger{
 			{ID: "small", Pos: geom.Pt(25, 10), Fee: 2,
-				Tariff: pricing.Linear{Rate: 0.02}, Efficiency: 1, Capacity: 250},
+				Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.02}, Efficiency: 1, Capacity: 250},
 			{ID: "big", Pos: geom.Pt(25, 40), Fee: 5,
-				Tariff: pricing.Linear{Rate: 0.05}, Efficiency: 1},
+				Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}, Efficiency: 1},
 		},
 	}
 }
@@ -69,7 +69,7 @@ func TestCapacityToleranceAgreesWithDeltaOps(t *testing.T) {
 			Field:   geom.Square(100),
 			Devices: []Device{{ID: "a", Pos: geom.Pt(10, 10), Demand: 50, MoveRate: 0.01}},
 			Chargers: []Charger{{ID: "only", Pos: geom.Pt(25, 10), Fee: 2,
-				Tariff: pricing.Linear{Rate: 0.02}, Efficiency: 1, Capacity: 100}},
+				Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.02}, Efficiency: 1, Capacity: 100}},
 		}
 	}
 	edge := Device{ID: "edge", Pos: geom.Pt(30, 10), Demand: 100 * (1 + 5e-13), MoveRate: 0.01}

@@ -245,13 +245,13 @@ func sfmOracle(cm *CostModel, j int, uncovered []int, sfmOpts submodular.Options
 // the previous stable sort produced on the ascending candidate list.
 func prefixOracle(cm *CostModel, j int, uncovered []int) ([]int, float64) {
 	in := cm.Instance()
-	ch := in.Chargers[j]
+	ch := &in.Chargers[j]
 	// Linearized per-device weight: moving cost + energy at the
 	// full-volume average rate.
 	vol := cm.Purchased(uncovered, j)
 	rate := 0.0
 	if vol > 0 {
-		rate = ch.Tariff.Price(vol) / vol
+		rate = tariffPrice(&ch.Tariff, vol) / vol
 	}
 	order := make([]int, 0, len(uncovered))
 	one := make([]int, 1)
@@ -286,7 +286,7 @@ func prefixOracle(cm *CostModel, j int, uncovered []int) ([]int, float64) {
 			break // demands are positive: larger prefixes stay infeasible
 		}
 		moveSum += cm.MovingCost(i, j)
-		cost := ch.Fee + ch.Tariff.Price(demand/ch.Efficiency) + moveSum
+		cost := ch.Fee + tariffPrice(&ch.Tariff, demand/ch.Efficiency) + moveSum
 		if ch.Mobile {
 			// Re-plan the charger's tour for every candidate prefix: the
 			// greedy commits coalition and route jointly.

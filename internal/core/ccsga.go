@@ -807,7 +807,7 @@ func (g *chargerGame) refreshCharge(s int) {
 	j := g.chargerOf[s]
 	ch := &g.in.Chargers[j]
 	p := g.purchased[s]
-	price := ch.Tariff.Price(p)
+	price := tariffPrice(&ch.Tariff, p)
 	charging := ch.Fee + price
 	if g.mobility && ch.Mobile {
 		charging += ch.MoveRate * g.routeLen[s]
@@ -899,7 +899,7 @@ func (g *chargerGame) buildChord(j int) {
 	g.chord[j] = chordEnd{}
 	k := 0.0
 	if x := g.chordDemand / ch.Efficiency; !ch.Mobile {
-		if px, ok := pricing.PowerLawOver(ch.Tariff, x); ok {
+		if px, ok := pricing.PowerLawOver(&ch.Tariff, x); ok {
 			g.chord[j] = chordEnd{x: x, px: px}
 			if c := (ch.Fee + px) * chordMargin; c >= chordMinCharge {
 				if f := c / x / ch.Efficiency; f >= 1/floorRange && f <= floorRange {
@@ -984,7 +984,7 @@ func (g *chargerGame) joinShare(i, s int) float64 {
 	if ch.Capacity > 0 && purch > ch.Capacity*(1+1e-12) {
 		return math.Inf(1) // the session is full; joining is infeasible
 	}
-	charging := ch.Fee + ch.Tariff.Price(purch)
+	charging := ch.Fee + tariffPrice(&ch.Tariff, purch)
 	if g.mobility && ch.Mobile {
 		// Tour-aware share: the charger's travel over its re-planned
 		// rendezvous tour is a session-level cost like the fee, so it

@@ -13,28 +13,12 @@ import (
 	"repro/internal/testutil"
 )
 
-// unwrapTariff decorates a tariff without changing a price and says so
-// through pricing.Unwrapper, so the game still sees the closed form below.
-type unwrapTariff struct{ pricing.Tariff }
-
-func (u unwrapTariff) Unwrap() pricing.Tariff { return u.Tariff }
-
-// meteredTariff is countingTariff that says what it wraps, so a counted
-// power law still gets its chord.
-type meteredTariff struct{ countingTariff }
-
-func (m meteredTariff) Unwrap() pricing.Tariff { return m.Tariff }
-
 // chordTariff draws a power law for the chord tests: its exponent at one
 // of the analytic region's ends, 2⁻¹⁰ and 1, or between them, a
-// coefficient spread over eight decades, and sometimes a decorator.
+// coefficient spread over eight decades.
 func chordTariff(r *rand.Rand) pricing.Tariff {
 	exp := []float64{1.0 / 1024, 1, 0.3 + 0.7*r.Float64()}[r.Intn(3)]
-	var t pricing.Tariff = pricing.PowerLaw{Coeff: math.Pow(10, -6+8*r.Float64()), Exponent: exp}
-	if r.Intn(3) == 0 {
-		t = unwrapTariff{t}
-	}
-	return t
+	return pricing.Tariff{Kind: pricing.PowerLaw, Coeff: math.Pow(10, -6+8*r.Float64()), Exponent: exp}
 }
 
 // chordInstance is warmInstance with chordTariff tariffs, some free
@@ -100,9 +84,9 @@ func requireChordSound(t *testing.T, g *chargerGame, tag string) (applied, empty
 }
 
 // TestChordBoundNeverExceedsShare is the soundness referee of the chord
-// bound: over power laws at both exponent ends, decorated tariffs, free
-// sessions, capacitated multi-slot chargers and mobile chargers, through
-// random moves and to convergence, every bound must be at most the share
+// bound: over power laws at both exponent ends, free sessions,
+// capacitated multi-slot chargers and mobile chargers, through random
+// moves and to convergence, every bound must be at most the share
 // joinShare computes, compared as floats with no tolerance.
 func TestChordBoundNeverExceedsShare(t *testing.T) {
 	r := rand.New(rand.NewSource(2424))
@@ -136,11 +120,26 @@ func TestChordBoundNeverExceedsShare(t *testing.T) {
 // floorlessSolve is ccsgaSolve with every price floor hidden (set to 0,
 // which leaves the moving-cost bound).
 func floorlessSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
+	return hiddenSolve(cm, opts, func(g *chargerGame) { clear(g.floor) })
+}
+
+// chordlessSolve is ccsgaSolve with every chord and price floor hidden,
+// so the game plays as it would were no tariff in the analytic region.
+func chordlessSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
+	return hiddenSolve(cm, opts, func(g *chargerGame) {
+		clear(g.chord)
+		clear(g.floor)
+	})
+}
+
+// hiddenSolve is ccsgaSolve with the shortcuts hide clears from the
+// seeded game.
+func hiddenSolve(cm *CostModel, opts CCSGAOptions, hide func(*chargerGame)) (*CCSGAResult, *chargerGame, error) {
 	g, err := seededGame(cm, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	clear(g.floor)
+	hide(g)
 	switches, passes, converged := g.run(opts.Seed, opts.MaxPasses)
 	return &CCSGAResult{Schedule: g.schedule(), Switches: switches, Passes: passes,
 		Converged: converged, NashStable: converged || g.isNash()}, g, nil
@@ -150,8 +149,8 @@ func floorlessSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGam
 // chord and price-floor skips: with both live, the fast path must
 // reproduce the plain path's assignment, passes, switches, convergence
 // and Nash verdict, and the floorless path's too; over the battery it
-// must price fewer tariffs than with the same tariffs hidden from the
-// chord, and than with the floors hidden.
+// must price fewer tariffs than with the chords hidden, and than with
+// the floors hidden.
 func TestChordSkipMatchesPlainPath(t *testing.T) {
 	r := rand.New(rand.NewSource(2525))
 	var chordPrices, hiddenPrices, floorlessPrices int
@@ -165,14 +164,14 @@ func TestChordSkipMatchesPlainPath(t *testing.T) {
 			opts.MaxPasses = 1
 		}
 		type solver func(*CostModel, CCSGAOptions) (*CCSGAResult, *chargerGame, error)
-		run := func(solve solver, wrap func(countingTariff) pricing.Tariff) (ccsgaOutcome, int) {
-			cp, calls := cloneInstance(in), new(int)
-			for j := range cp.Chargers {
-				cp.Chargers[j].Tariff = wrap(countingTariff{cp.Chargers[j].Tariff, calls})
-			}
-			cm := mustCostModel(t, cp)
-			*calls = 0
-			res, g, err := solve(cm, opts)
+		run := func(solve solver) (ccsgaOutcome, int) {
+			cm := mustCostModel(t, cloneInstance(in))
+			var (
+				res *CCSGAResult
+				g   *chargerGame
+				err error
+			)
+			prices := CountPrices(func() { res, g, err = solve(cm, opts) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,17 +180,15 @@ func TestChordSkipMatchesPlainPath(t *testing.T) {
 			}
 			assign := slices.Clone(g.cur)
 			g.release()
-			return ccsgaOutcome{res: res, assign: assign}, *calls
+			return ccsgaOutcome{res: res, assign: assign}, prices
 		}
-		metered := func(c countingTariff) pricing.Tariff { return meteredTariff{c} }
-		hide := func(c countingTariff) pricing.Tariff { return c }
-		chord, cp := run(ccsgaSolve, metered)
-		_, hp := run(ccsgaSolve, hide)
-		plain, _ := run(plainSolve, metered)
+		chord, cp := run(ccsgaSolve)
+		_, hp := run(chordlessSolve)
+		plain, _ := run(plainSolve)
 		if d := sameOutcome(chord, plain); d != "" {
 			t.Fatalf("trial %d: fast path with chords diverged from plain path: %s", trial, d)
 		}
-		floorless, fp := run(floorlessSolve, metered)
+		floorless, fp := run(floorlessSolve)
 		if d := sameOutcome(chord, floorless); d != "" {
 			t.Fatalf("trial %d: fast path with price floors diverged from the path without: %s", trial, d)
 		}
@@ -330,11 +327,11 @@ func TestPriceFloorOnlyStationaryPDS(t *testing.T) {
 }
 
 // chordDelta applies one random delta op to twin models: cmA carries the
-// tariffs as drawn, cmB the same tariffs hidden behind opaqueTariff, so
-// only cmA's game has chords. Joins are often big enough to push total
-// demand past the chords' right ends, updates raise a device's demand,
-// and tariff swaps trade a power law for a linear or tiered tariff and
-// back. Demands stay at most maxDemand so every device fits alone.
+// tariffs as drawn, cmB their chordless twins where they have one, so
+// only cmA has those tariffs' chords and price floors. Joins are often
+// big enough to push total demand past the chords' right ends, updates
+// raise a device's demand, and tariff swaps trade a power law for a
+// linear or tiered tariff and back. Demands stay at most maxDemand so every device fits alone.
 func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) (string, error) {
 	in := cmA.Instance()
 	var total float64
@@ -357,12 +354,11 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 	case r.Float64() < 0.45:
 		j := r.Intn(cmA.NumChargers())
 		var t pricing.Tariff
-		_, powerLaw := pricing.PowerLawOver(in.Chargers[j].Tariff, 1)
 		switch {
-		case !powerLaw:
+		case in.Chargers[j].Tariff.Kind != pricing.PowerLaw:
 			t = chordTariff(r)
 		case r.Intn(2) == 0:
-			t = pricing.Linear{Rate: 0.001 + 0.05*r.Float64()}
+			t = pricing.Tariff{Kind: pricing.Linear, Rate: 0.001 + 0.05*r.Float64()}
 		default:
 			t = testutil.MustTiered([]pricing.Tier{
 				{UpTo: 100 + 400*r.Float64(), Rate: 0.01 + 0.05*r.Float64()},
@@ -387,7 +383,10 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 		op = func(cm *CostModel, _ func(pricing.Tariff) pricing.Tariff) error { return cm.AddDevice(d) }
 	}
 	errA := op(cmA, func(t pricing.Tariff) pricing.Tariff { return t })
-	errB := op(cmB, func(t pricing.Tariff) pricing.Tariff { return opaqueTariff{t} })
+	errB := op(cmB, func(t pricing.Tariff) pricing.Tariff {
+		tw, _ := chordless(t)
+		return tw
+	})
 	if (errA == nil) != (errB == nil) {
 		return tag, fmt.Errorf("twins disagree: %v vs %v", errA, errB)
 	}
@@ -399,9 +398,11 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 // chords' right ends, raises demands and swaps tariffs between power law
 // and linear or tiered. After every delta and every repair, every chord
 // bound and price floor must be sound and every memo entry exact or, if a
-// bound entry, at most the share. A twin whose tariffs hide their closed form, so its game
-// has no chords, must return deeply equal results at every step, with the
-// default frontier cap and with the cap lifted to the whole population.
+// bound entry, at most the share. A twin whose linear, tiered and
+// exponent-1 tariffs are their chordless twins, so it has none of their
+// chords or price floors, must return deeply equal results at every
+// step, with the default frontier cap and with the cap lifted to the
+// whole population.
 func TestChordMemoAcrossLifecycle(t *testing.T) {
 	for _, capacitated := range []bool{false, true} {
 		for _, frac := range []float64{0, 1} {
@@ -413,7 +414,7 @@ func TestChordMemoAcrossLifecycle(t *testing.T) {
 			}
 			hidden := cloneInstance(in)
 			for j := range hidden.Chargers {
-				hidden.Chargers[j].Tariff = opaqueTariff{hidden.Chargers[j].Tariff}
+				hidden.Chargers[j].Tariff, _ = chordless(hidden.Chargers[j].Tariff)
 			}
 			maxDemand := math.Inf(1)
 			if capacitated {

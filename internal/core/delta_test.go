@@ -118,7 +118,7 @@ func TestPropertyDeltaOpsBitIdentical(t *testing.T) {
 				}
 			case r.Float64() < 0.3:
 				j := r.Intn(cm.NumChargers())
-				if err := cm.SetTariff(j, pricing.Linear{Rate: 0.02 + r.Float64()*0.04}); err != nil {
+				if err := cm.SetTariff(j, pricing.Tariff{Kind: pricing.Linear, Rate: 0.02 + r.Float64()*0.04}); err != nil {
 					t.Fatalf("seed %d op %d tariff: %v", seed, op, err)
 				}
 			default:
@@ -214,20 +214,20 @@ func TestSetTariffValidation(t *testing.T) {
 	cm := mustCostModel(t, in)
 	before, beforeJ := cm.StandaloneCost(0)
 
-	if err := cm.SetTariff(5, pricing.Linear{Rate: 0.03}); err == nil {
+	if err := cm.SetTariff(5, pricing.Tariff{Kind: pricing.Linear, Rate: 0.03}); err == nil {
 		t.Error("out-of-range charger accepted")
 	}
-	if err := cm.SetTariff(0, nil); err == nil {
-		t.Error("nil tariff accepted")
+	if err := cm.SetTariff(0, pricing.Tariff{}); err == nil {
+		t.Error("missing tariff accepted")
 	}
-	if err := cm.SetTariff(0, pricing.Linear{Rate: -1}); err == nil {
+	if err := cm.SetTariff(0, pricing.Tariff{Kind: pricing.Linear, Rate: -1}); err == nil {
 		t.Error("decreasing tariff accepted")
 	}
 	if after, afterJ := cm.StandaloneCost(0); after != before || afterJ != beforeJ {
 		t.Error("failed SetTariff mutated the model")
 	}
 
-	if err := cm.SetTariff(0, pricing.Linear{Rate: 0.05}); err != nil {
+	if err := cm.SetTariff(0, pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}); err != nil {
 		t.Fatalf("valid tariff rejected: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ func Example() {
 	chargers := []core.Charger{
 		{
 			ID: "north", Pos: geom.Pt(100, 100), Fee: 8,
-			Tariff:     pricing.PowerLaw{Coeff: 0.35, Exponent: 0.88},
+			Tariff:     pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.35, Exponent: 0.88},
 			Efficiency: 0.85,
 		},
 		{

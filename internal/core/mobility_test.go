@@ -142,7 +142,7 @@ func TestTravelBudgetFeasibility(t *testing.T) {
 		},
 		Chargers: []Charger{{
 			ID: "van", Pos: geom.Pt(0, 0), Fee: 1,
-			Tariff: pricing.Linear{Rate: 0.05}, Efficiency: 0.9,
+			Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}, Efficiency: 0.9,
 			Mobile: true, MoveRate: 0.1, Speed: 2, TravelBudget: 1000,
 		}},
 	}
@@ -175,7 +175,7 @@ func TestTravelBudgetFeasibility(t *testing.T) {
 // its session count, and the exactly-k boundary passes at k and fails at
 // k+1. Mobile sessions cover through their member stops and home.
 func TestValidateKCoverage(t *testing.T) {
-	tariff := pricing.Linear{Rate: 0.05}
+	tariff := pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}
 	in := &Instance{
 		Field: geom.Square(1000),
 		Devices: []Device{
@@ -323,7 +323,7 @@ func TestMobilityValidation(t *testing.T) {
 			Devices: []Device{{ID: "d", Pos: geom.Pt(10, 10), Demand: 100, MoveRate: 0.01}},
 			Chargers: []Charger{{
 				ID: "c", Pos: geom.Pt(0, 0), Fee: 1,
-				Tariff: pricing.Linear{Rate: 0.05}, Efficiency: 0.9,
+				Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}, Efficiency: 0.9,
 			}},
 		}
 	}

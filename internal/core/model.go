@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pricing"
@@ -41,7 +42,7 @@ type Charger struct {
 	// Fee is the fixed per-session service fee, in $ (>= 0).
 	Fee float64
 	// Tariff prices the total energy purchased in a session. Must be
-	// nondecreasing and concave with Tariff.Price(0) == 0.
+	// nondecreasing and concave; the zero Tariff is none.
 	Tariff pricing.Tariff
 	// Efficiency is the WPT transfer efficiency in (0, 1]: storing e
 	// joules requires purchasing e/Efficiency joules.
@@ -127,7 +128,7 @@ func (in *Instance) Validate() error {
 		if c.Capacity < 0 || math.IsNaN(c.Capacity) {
 			return fmt.Errorf("core: charger %d (%s) capacity %v invalid", j, c.ID, c.Capacity)
 		}
-		if c.Tariff == nil {
+		if c.Tariff.Kind == 0 {
 			return fmt.Errorf("core: charger %d (%s) has no tariff", j, c.ID)
 		}
 		if err := pricing.Validate(c.Tariff, maxDemand/c.Efficiency+1, 64); err != nil {
@@ -450,10 +451,22 @@ func (cm *CostModel) standaloneFor(d Device, row []float64) (float64, int) {
 	return best, bestJ
 }
 
+// priceCount counts the tariff prices core takes while a test has set
+// it; it is nil otherwise.
+var priceCount *atomic.Int64
+
+// tariffPrice is t.Price(energy), the one way core prices a tariff.
+func tariffPrice(t *pricing.Tariff, energy float64) float64 {
+	if priceCount != nil {
+		priceCount.Add(1)
+	}
+	return t.Price(energy)
+}
+
 // singletonCost prices device d's session alone at charger j.
 func (cm *CostModel) singletonCost(d Device, row []float64, j int) float64 {
 	c := &cm.inst.Chargers[j]
-	cost := c.Fee + c.Tariff.Price(d.Demand/c.Efficiency) + row[j]
+	cost := c.Fee + tariffPrice(&c.Tariff, d.Demand/c.Efficiency) + row[j]
 	if c.Mobile {
 		cost += c.MoveRate * 2 * c.Home().Dist(d.Pos)
 	}
@@ -581,7 +594,7 @@ func (cm *CostModel) SetTariff(j int, t pricing.Tariff) error {
 	if j < 0 || j >= m {
 		return fmt.Errorf("core: set tariff on charger %d of %d", j, m)
 	}
-	if t == nil {
+	if t.Kind == 0 {
 		return fmt.Errorf("core: charger %d (%s) has no tariff", j, cm.inst.Chargers[j].ID)
 	}
 	var sumDemand float64
@@ -668,8 +681,8 @@ func (cm *CostModel) ChargingCost(members []int, j int) float64 {
 	if len(members) == 0 {
 		return 0
 	}
-	ch := cm.inst.Chargers[j]
-	return ch.Fee + ch.Tariff.Price(cm.Purchased(members, j))
+	ch := &cm.inst.Chargers[j]
+	return ch.Fee + tariffPrice(&ch.Tariff, cm.Purchased(members, j))
 }
 
 // SessionCost returns the comprehensive cost of serving the members in one

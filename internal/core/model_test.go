@@ -26,8 +26,8 @@ func testInstance() *Instance {
 			{ID: "d1", Pos: geom.Pt(100, 0), Demand: 200, MoveRate: 0.02},
 		},
 		Chargers: []Charger{
-			{ID: "c0", Pos: geom.Pt(0, 0), Fee: 5, Tariff: pricing.Linear{Rate: 0.05}, Efficiency: 1},
-			{ID: "c1", Pos: geom.Pt(100, 0), Fee: 2, Tariff: pricing.PowerLaw{Coeff: 0.5, Exponent: 0.8}, Efficiency: 0.8},
+			{ID: "c0", Pos: geom.Pt(0, 0), Fee: 5, Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}, Efficiency: 1},
+			{ID: "c1", Pos: geom.Pt(100, 0), Fee: 2, Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.5, Exponent: 0.8}, Efficiency: 0.8},
 		},
 	}
 }
@@ -50,9 +50,9 @@ func randInstance(r *rand.Rand, n, m int) *Instance {
 		var tariff pricing.Tariff
 		switch j % 3 {
 		case 0:
-			tariff = pricing.Linear{Rate: 0.02 + r.Float64()*0.02}
+			tariff = pricing.Tariff{Kind: pricing.Linear, Rate: 0.02 + r.Float64()*0.02}
 		case 1:
-			tariff = pricing.PowerLaw{Coeff: 0.1 + r.Float64()*0.3, Exponent: 0.7 + r.Float64()*0.3}
+			tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.1 + r.Float64()*0.3, Exponent: 0.7 + r.Float64()*0.3}
 		default:
 			tariff = testutil.MustTiered([]pricing.Tier{
 				{UpTo: 200, Rate: 0.04 + r.Float64()*0.02},
@@ -97,8 +97,10 @@ func TestValidate(t *testing.T) {
 		{"negative fee", func(in *Instance) { in.Chargers[0].Fee = -1 }, "fee"},
 		{"zero efficiency", func(in *Instance) { in.Chargers[0].Efficiency = 0 }, "efficiency"},
 		{"efficiency above one", func(in *Instance) { in.Chargers[1].Efficiency = 1.2 }, "efficiency"},
-		{"nil tariff", func(in *Instance) { in.Chargers[0].Tariff = nil }, "tariff"},
-		{"convex tariff", func(in *Instance) { in.Chargers[0].Tariff = convexTestTariff{} }, "concave"},
+		{"nil tariff", func(in *Instance) { in.Chargers[0].Tariff = pricing.Tariff{} }, "tariff"},
+		{"convex tariff", func(in *Instance) {
+			in.Chargers[0].Tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 1, Exponent: 2}
+		}, "concave"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -114,16 +116,6 @@ func TestValidate(t *testing.T) {
 		})
 	}
 }
-
-type convexTestTariff struct{}
-
-func (convexTestTariff) Price(e float64) float64 {
-	if e <= 0 {
-		return 0
-	}
-	return e * e
-}
-func (convexTestTariff) Name() string { return "convex-test" }
 
 func TestSessionCostHandChecked(t *testing.T) {
 	cm := mustCostModel(t, testInstance())

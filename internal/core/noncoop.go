@@ -33,7 +33,7 @@ func LowerBound(cm *CostModel) float64 {
 	for j, ch := range in.Chargers {
 		maxVol := totalDemand / ch.Efficiency
 		if maxVol > 0 {
-			rate[j] = ch.Tariff.Price(maxVol) / maxVol
+			rate[j] = tariffPrice(&ch.Tariff, maxVol) / maxVol
 		}
 	}
 	var lb float64

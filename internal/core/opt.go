@@ -57,7 +57,7 @@ func Optimal(cm *CostModel) (*Schedule, error) {
 		chOrder[j] = j
 		ch := in.Chargers[j]
 		full := demandSum[size-1] / ch.Efficiency
-		p := ch.Tariff.Price(full)
+		p := tariffPrice(&ch.Tariff, full)
 		fullCost[j] = ch.Fee + p
 		if full > 0 {
 			// Validated tariffs are concave, nondecreasing, and zero at
@@ -93,7 +93,7 @@ func Optimal(cm *CostModel) (*Schedule, error) {
 				// sweep for power-law tariffs.
 				continue
 			}
-			cost := ch.Fee + ch.Tariff.Price(purchased) + moveSum[mask]
+			cost := ch.Fee + tariffPrice(&ch.Tariff, purchased) + moveSum[mask]
 			if cost < groupCost[mask] || (cost == groupCost[mask] && j < groupCharger[mask]) {
 				groupCost[mask] = cost
 				groupCharger[mask] = j

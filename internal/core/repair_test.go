@@ -77,7 +77,7 @@ func randomRepairDelta(r *rand.Rand, cm *CostModel, step int) (string, error) {
 		return fmt.Sprintf("update %d", i), cm.UpdateDevice(i, d)
 	case r.Float64() < 0.25:
 		j := r.Intn(cm.NumChargers())
-		return fmt.Sprintf("tariff %d", j), cm.SetTariff(j, pricing.Linear{Rate: 0.02 + r.Float64()*0.04})
+		return fmt.Sprintf("tariff %d", j), cm.SetTariff(j, pricing.Tariff{Kind: pricing.Linear, Rate: 0.02 + r.Float64()*0.04})
 	default:
 		pos := geom.UniformPoints(r, in.Field, 1)[0]
 		d := Device{
@@ -325,7 +325,7 @@ func TestRepairESSTariffFallsBack(t *testing.T) {
 	if _, err := sched.ScheduleRepair(cm, nil, rs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cm.SetTariff(1, pricing.Linear{Rate: 0.05}); err != nil {
+	if err := cm.SetTariff(1, pricing.Tariff{Kind: pricing.Linear, Rate: 0.05}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sched.ScheduleRepair(cm, nil, rs)

@@ -117,7 +117,7 @@ func referenceShare(g *chargerGame, i, s int) float64 {
 		moveSum += myMove
 		sigmaSum += g.sigma[i]
 	}
-	charging := ch.Fee + ch.Tariff.Price(purch)
+	charging := ch.Fee + tariffPrice(&ch.Tariff, purch)
 	if g.mobility && ch.Mobile {
 		tourLen := g.routeLen[s]
 		if g.cur[i] != s {
@@ -136,29 +136,6 @@ func referenceShare(g *chargerGame, i, s int) float64 {
 	return g.sigma[i] - surplusPer
 }
 
-// countingTariff counts Price evaluations, the unit of work the share
-// memo and the moving-cost bound exist to save.
-type countingTariff struct {
-	pricing.Tariff
-	calls *int
-}
-
-func (c countingTariff) Price(e float64) float64 {
-	*c.calls++
-	return c.Tariff.Price(e)
-}
-
-// withCountingTariffs returns a copy of in whose tariffs all count into
-// one shared counter.
-func withCountingTariffs(in *Instance) (*Instance, *int) {
-	calls := new(int)
-	cp := cloneInstance(in)
-	for j := range cp.Chargers {
-		cp.Chargers[j].Tariff = countingTariff{cp.Chargers[j].Tariff, calls}
-	}
-	return cp, calls
-}
-
 // solveBothPaths solves in on the fast path and on the plain path, each
 // over its own cost model, and returns both outcomes with the tariff
 // prices each solve evaluated (model construction excluded). Each
@@ -166,14 +143,16 @@ func withCountingTariffs(in *Instance) (*Instance, *int) {
 func solveBothPaths(t *testing.T, in *Instance, opts CCSGAOptions) (fast, plain ccsgaOutcome) {
 	t.Helper()
 	run := func(solve func(*CostModel, CCSGAOptions) (*CCSGAResult, *chargerGame, error)) ccsgaOutcome {
-		cp, calls := withCountingTariffs(in)
-		cm := mustCostModel(t, cp)
-		*calls = 0
-		res, g, err := solve(cm, opts)
+		cm := mustCostModel(t, cloneInstance(in))
+		var (
+			res *CCSGAResult
+			g   *chargerGame
+			err error
+		)
+		prices := CountPrices(func() { res, g, err = solve(cm, opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		prices := *calls
 		if nash := bruteForceNash(g); res.NashStable != nash {
 			t.Fatalf("NashStable = %v, brute-force referee says %v", res.NashStable, nash)
 		}
@@ -294,20 +273,79 @@ func TestShareMemoPricesFewerTariffs(t *testing.T) {
 	}
 }
 
-// opaqueTariff hides a tariff's closed form, so the cost model gives it
-// no chord and bounds its prices by zero.
-type opaqueTariff struct{ pricing.Tariff }
+// chordless returns a tariff that prices bit for bit as t at every
+// energy up to 1e200 but lies outside the analytic region, so the cost
+// model gives it no chord and the game no chord or price floor: a tier
+// table of more than 1024 tiers whose tiers up to 1e200 are t's own. It
+// reports false, and returns t, for a tariff with no such twin: a free
+// one, or a power law whose exponent is not 1 (at exponent 1,
+// c·math.Pow(E, 1) is exactly c·E).
+func chordless(t pricing.Tariff) (pricing.Tariff, bool) {
+	var tiers []pricing.Tier
+	switch {
+	case t.Kind == pricing.Linear && t.Rate > 0:
+		tiers = []pricing.Tier{{UpTo: 1e200, Rate: t.Rate}}
+	case t.Kind == pricing.PowerLaw && t.Exponent == 1 && t.Coeff > 0:
+		tiers = []pricing.Tier{{UpTo: 1e200, Rate: t.Coeff}}
+	case t.Kind == pricing.Tiered:
+		tiers = t.Tiers()
+		tiers[len(tiers)-1].UpTo = 1e200
+	default:
+		return t, false
+	}
+	rate := tiers[len(tiers)-1].Rate
+	for len(tiers) <= 1024 {
+		tiers = append(tiers, pricing.Tier{UpTo: 1e200 * float64(len(tiers)+1), Rate: rate})
+	}
+	tiers[len(tiers)-1].UpTo = math.Inf(1)
+	return testutil.MustTiered(tiers), true
+}
+
+// TestChordlessTwin holds chordless to its contract: the twin prices bit
+// for bit as the tariff it stands for, and gets no chord from the cost
+// model and none from the game.
+func TestChordlessTwin(t *testing.T) {
+	energies := []float64{0, 1e-300, 0.5, 1, 99.9, 100, 100.1, 7e3, 1e6, 1e200}
+	for _, tf := range []pricing.Tariff{
+		{Kind: pricing.Linear, Rate: 0.03},
+		{Kind: pricing.PowerLaw, Coeff: 0.4, Exponent: 1},
+		testutil.MustTiered([]pricing.Tier{{UpTo: 100, Rate: 0.05}, {UpTo: 500, Rate: 0.03}, {UpTo: math.Inf(1), Rate: 0.02}}),
+	} {
+		tw, ok := chordless(tf)
+		if !ok {
+			t.Fatalf("%s: no twin", tf.Name())
+		}
+		for _, e := range energies {
+			if got, want := tw.Price(e), tf.Price(e); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s at %v J: twin prices %v, tariff %v", tf.Name(), e, got, want)
+			}
+		}
+		if c := pricing.NewChord(tw, 0.8, 1, 1e4); c != (pricing.Chord{}) {
+			t.Errorf("%s: twin got a cost-model chord", tf.Name())
+		}
+		if _, ok := pricing.PowerLawOver(&tw, 1e4); ok {
+			t.Errorf("%s: twin got a game chord", tf.Name())
+		}
+	}
+	for _, tf := range []pricing.Tariff{{Kind: pricing.Linear}, {Kind: pricing.PowerLaw, Coeff: 0.4, Exponent: 0.9}} {
+		if _, ok := chordless(tf); ok {
+			t.Errorf("%s: got a twin, want none", tf.Name())
+		}
+	}
+}
 
 // skipTestTariff draws a random concave tariff: linear (sometimes free,
-// so bounds and costs tie exactly), power-law, multi-tier, or one of
-// those hidden behind opaqueTariff.
+// so bounds and costs tie exactly), power-law, multi-tier, or one
+// outside the analytic region, which gets no chord: a power law with
+// exponent 1e-4, below the region's 2⁻¹⁰, or the chordless twin of a
+// linear or tiered draw.
 func skipTestTariff(r *rand.Rand) pricing.Tariff {
 	var t pricing.Tariff
 	switch r.Intn(4) {
 	case 0:
-		t = pricing.Linear{Rate: 0.01 + r.Float64()*0.05}
+		t = pricing.Tariff{Kind: pricing.Linear, Rate: 0.01 + r.Float64()*0.05}
 	case 1:
-		t = pricing.PowerLaw{Coeff: 0.05 + r.Float64()*0.4, Exponent: 0.5 + r.Float64()*0.5}
+		t = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.05 + r.Float64()*0.4, Exponent: 0.5 + r.Float64()*0.5}
 	case 2:
 		tiers := []pricing.Tier{}
 		rate, upTo := 0.03+r.Float64()*0.05, 0.0
@@ -318,18 +356,21 @@ func skipTestTariff(r *rand.Rand) pricing.Tariff {
 		}
 		t = testutil.MustTiered(append(tiers, pricing.Tier{UpTo: math.Inf(1), Rate: rate}))
 	default:
-		t = pricing.Linear{}
+		t = pricing.Tariff{Kind: pricing.Linear}
 	}
 	if r.Intn(5) == 0 {
-		t = opaqueTariff{t}
+		var ok bool
+		if t, ok = chordless(t); !ok {
+			t = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.05 + r.Float64()*0.4, Exponent: 1e-4}
+		}
 	}
 	return t
 }
 
 // skipTestInstance is randInstance with skipTestTariff tariffs, session
 // capacities on some chargers, budgeted mobile chargers, and exact
-// duplicates of some chargers (equal costs, so ties must go to the lower
-// index). Charger 0 stays stationary and uncapacitated, so every device,
+// duplicates of some chargers, some pricing through their chordless twin
+// (equal costs, so ties must go to the lower index). Charger 0 stays stationary and uncapacitated, so every device,
 // however large, fits somewhere.
 func skipTestInstance(r *rand.Rand, n, m int) *Instance {
 	in := randInstance(r, n, m)
@@ -348,8 +389,8 @@ func skipTestInstance(r *rand.Rand, n, m int) *Instance {
 			c.TravelBudget = 1500 + r.Float64()*2000
 		case 2:
 			*c = in.Chargers[r.Intn(j)]
-			if r.Intn(2) == 0 {
-				c.Tariff = opaqueTariff{c.Tariff}
+			if tw, ok := chordless(c.Tariff); ok && r.Intn(2) == 0 {
+				c.Tariff = tw
 			}
 		}
 	}
@@ -456,7 +497,7 @@ func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 					// Far cheaper than any tariff drawn at build time:
 					// the charger must win devices its old chord would
 					// have ruled out.
-					tariff = pricing.PowerLaw{Coeff: 0.001 + r.Float64()*0.01, Exponent: 0.5}
+					tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.001 + r.Float64()*0.01, Exponent: 0.5}
 				}
 				err = cm.SetTariff(j, tariff)
 			}
@@ -474,8 +515,7 @@ func TestStandaloneSkipMatchesPlainScan(t *testing.T) {
 // value the plain evaluation gives.
 func TestShareMemoHitsAndInvalidates(t *testing.T) {
 	for _, scheme := range []SharingScheme{PDS{}, ESS{}} {
-		in, calls := withCountingTariffs(randInstance(rand.New(rand.NewSource(3)), 12, 4))
-		cm := mustCostModel(t, in)
+		cm := mustCostModel(t, randInstance(rand.New(rand.NewSource(3)), 12, 4))
 		g, err := newChargerGame(cm, scheme)
 		if err != nil {
 			t.Fatal(err)
@@ -487,10 +527,9 @@ func TestShareMemoHitsAndInvalidates(t *testing.T) {
 		g.reset(init)
 		i, k := 0, 1
 		s := (g.cur[i] + 1) % len(g.chargerOf)
-		priced := func(f func() float64) (float64, int) {
-			*calls = 0
-			v := f()
-			return v, *calls
+		priced := func(f func() float64) (v float64, n int) {
+			n = CountPrices(func() { v = f() })
+			return v, n
 		}
 		join := func() float64 { return g.share(i, s) }
 		if _, n := priced(join); n != 1 {

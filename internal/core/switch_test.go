@@ -27,7 +27,7 @@ func twoChargerInstance() (*Instance, []int) {
 	for k, x := range []float64{100, 500} {
 		in.Chargers = append(in.Chargers, Charger{
 			ID: fmt.Sprintf("c%d", k), Pos: geom.Pt(x, 0), Fee: 10,
-			Tariff: pricing.Linear{}, Efficiency: 1,
+			Tariff: pricing.Tariff{Kind: pricing.Linear}, Efficiency: 1,
 		})
 	}
 	return in, []int{0, 1, 1}
@@ -131,16 +131,14 @@ func TestShareBoundSkipsWithoutChangingResult(t *testing.T) {
 			converged                bool
 		}
 		play := func(run func(*chargerGame) (int, int, bool)) outcome {
-			cp, calls := withCountingTariffs(in)
-			g, err := seededGame(mustCostModel(t, cp), opts)
+			g, err := seededGame(mustCostModel(t, cloneInstance(in)), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			g.memo = nil // no memo: the bound is the only shortcut left
-			*calls = 0
 			var o outcome
-			o.switches, o.passes, o.converged = run(g)
-			o.assign, o.prices = g.cur, *calls
+			o.prices = CountPrices(func() { o.switches, o.passes, o.converged = run(g) })
+			o.assign = g.cur
 			return o
 		}
 		bounded := play(func(g *chargerGame) (int, int, bool) { return g.run(opts.Seed, opts.MaxPasses) })
@@ -205,15 +203,15 @@ func TestAssignmentSchedule(t *testing.T) {
 // 1 when gap is zero, and otherwise cheaper by gap in fee. expensive
 // prices chargers 1 and 2 out of reach, so the device stays on charger 0.
 func edgeRuleInstance(gap float64, expensive bool) *Instance {
-	cheap := pricing.Tariff(pricing.Linear{})
+	cheap := pricing.Tariff{Kind: pricing.Linear}
 	if expensive {
-		cheap = pricing.Linear{Rate: 1}
+		cheap = pricing.Tariff{Kind: pricing.Linear, Rate: 1}
 	}
 	return &Instance{
 		Field:   geom.Square(1000),
 		Devices: []Device{{ID: "d", Pos: geom.Pt(0, 0), Demand: 100, MoveRate: 0.01}},
 		Chargers: []Charger{
-			{ID: "c0", Pos: geom.Pt(0, 0), Fee: 10, Tariff: pricing.Linear{Rate: 0.1}, Efficiency: 1},
+			{ID: "c0", Pos: geom.Pt(0, 0), Fee: 10, Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.1}, Efficiency: 1},
 			{ID: "c1", Pos: geom.Pt(100, 0), Fee: 1, Tariff: cheap, Efficiency: 1},
 			{ID: "c2", Pos: geom.Pt(100, 0), Fee: 1 - gap, Tariff: cheap, Efficiency: 1},
 		},
@@ -262,7 +260,7 @@ func TestSwitchRuleEdges(t *testing.T) {
 				for _, j := range retariff {
 					tariff := cm.Instance().Chargers[j].Tariff
 					if j != 0 {
-						tariff = pricing.Linear{}
+						tariff = pricing.Tariff{Kind: pricing.Linear}
 					}
 					if err := cm.SetTariff(j, tariff); err != nil {
 						t.Fatal(err)

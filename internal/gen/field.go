@@ -53,7 +53,8 @@ func DefaultFieldParams() FieldExperimentParams {
 func FieldExperiment(p FieldExperimentParams) (*core.Instance, error) {
 	side := p.CourtSide
 	field := geom.Square(side)
-	tariff := pricing.PowerLaw{
+	tariff := pricing.Tariff{
+		Kind:     pricing.PowerLaw,
 		Coeff:    p.EnergyRate * p.NodeDemandJ / math.Pow(p.NodeDemandJ, p.TariffExponent),
 		Exponent: p.TariffExponent,
 	}

@@ -204,16 +204,14 @@ func Instance(seed int64, p Params) (*core.Instance, error) {
 	}
 	for j := 0; j < p.NumChargers; j++ {
 		rate := rng.Uniform(chR, p.EnergyRateMin, p.EnergyRateMax)
-		var tariff pricing.Tariff
-		if p.TariffExponent == 1 {
-			tariff = pricing.Linear{Rate: rate}
-		} else {
+		tariff := pricing.Tariff{Kind: pricing.Linear, Rate: rate}
+		if p.TariffExponent != 1 {
 			// Match the small-volume price: coeff · E0^exp = rate · E0
 			// at the reference volume E0 = DemandMin, so singleton
 			// sessions pay roughly the nominal rate.
 			e0 := p.DemandMin
 			coeff := rate * e0 / math.Pow(e0, p.TariffExponent)
-			tariff = pricing.PowerLaw{Coeff: coeff, Exponent: p.TariffExponent}
+			tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: coeff, Exponent: p.TariffExponent}
 		}
 		in.Chargers = append(in.Chargers, core.Charger{
 			ID:         fmt.Sprintf("chg-%02d", j),

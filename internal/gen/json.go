@@ -10,8 +10,8 @@ import (
 	"repro/internal/pricing"
 )
 
-// The DTOs below give core.Instance a stable JSON form. Tariffs are an
-// interface, so they serialize as a tagged union.
+// The DTOs below give core.Instance a stable JSON form. A tariff
+// serializes as a tagged union over its kind.
 
 // TariffDTO is the wire form of a pricing.Tariff.
 type TariffDTO struct {
@@ -127,7 +127,7 @@ func decodeReference(data []byte) (*core.Instance, error) {
 		})
 	}
 	for _, c := range dto.Chargers {
-		tf, err := tariffFromDTO(c.Tariff)
+		tf, err := DecodeTariff(c.Tariff)
 		if err != nil {
 			return nil, fmt.Errorf("gen: charger %s: %w", c.ID, err)
 		}
@@ -141,18 +141,15 @@ func decodeReference(data []byte) (*core.Instance, error) {
 	return in, nil
 }
 
-// DecodeTariff converts a tagged-union DTO back to a tariff.
-func DecodeTariff(d TariffDTO) (pricing.Tariff, error) { return tariffFromDTO(d) }
-
 func tariffDTO(t pricing.Tariff) (TariffDTO, error) {
-	switch tf := t.(type) {
+	switch t.Kind {
 	case pricing.Linear:
-		return TariffDTO{Kind: "linear", Rate: tf.Rate}, nil
+		return TariffDTO{Kind: "linear", Rate: t.Rate}, nil
 	case pricing.PowerLaw:
-		return TariffDTO{Kind: "powerlaw", Coeff: tf.Coeff, Exponent: tf.Exponent}, nil
-	case *pricing.Tiered:
+		return TariffDTO{Kind: "powerlaw", Coeff: t.Coeff, Exponent: t.Exponent}, nil
+	case pricing.Tiered:
 		out := TariffDTO{Kind: "tiered"}
-		for _, tier := range tf.Tiers() {
+		for _, tier := range t.Tiers() {
 			upTo := "inf"
 			if !math.IsInf(tier.UpTo, 1) {
 				upTo = fmt.Sprintf("%g", tier.UpTo)
@@ -161,29 +158,30 @@ func tariffDTO(t pricing.Tariff) (TariffDTO, error) {
 		}
 		return out, nil
 	default:
-		return TariffDTO{}, fmt.Errorf("unsupported tariff type %T", t)
+		return TariffDTO{}, fmt.Errorf("unsupported tariff kind %d", t.Kind)
 	}
 }
 
-func tariffFromDTO(d TariffDTO) (pricing.Tariff, error) {
+// DecodeTariff converts a tagged-union DTO back to a tariff.
+func DecodeTariff(d TariffDTO) (pricing.Tariff, error) {
 	switch d.Kind {
 	case "linear":
-		return pricing.Linear{Rate: d.Rate}, nil
+		return pricing.Tariff{Kind: pricing.Linear, Rate: d.Rate}, nil
 	case "powerlaw":
-		return pricing.PowerLaw{Coeff: d.Coeff, Exponent: d.Exponent}, nil
+		return pricing.Tariff{Kind: pricing.PowerLaw, Coeff: d.Coeff, Exponent: d.Exponent}, nil
 	case "tiered":
 		tiers := make([]pricing.Tier, 0, len(d.Tiers))
 		for _, td := range d.Tiers {
 			upTo := math.Inf(1)
 			if td.UpTo != "inf" {
 				if _, err := fmt.Sscanf(td.UpTo, "%g", &upTo); err != nil {
-					return nil, fmt.Errorf("bad tier bound %q: %w", td.UpTo, err)
+					return pricing.Tariff{}, fmt.Errorf("bad tier bound %q: %w", td.UpTo, err)
 				}
 			}
 			tiers = append(tiers, pricing.Tier{UpTo: upTo, Rate: td.Rate})
 		}
 		return pricing.NewTiered(tiers)
 	default:
-		return nil, fmt.Errorf("unknown tariff kind %q", d.Kind)
+		return pricing.Tariff{}, fmt.Errorf("unknown tariff kind %q", d.Kind)
 	}
 }

@@ -52,8 +52,8 @@ func TestEncodeDecodeAllTariffKinds(t *testing.T) {
 			{ID: "d", Pos: geom.Pt(1, 1), Demand: 10, MoveRate: 0.1},
 		},
 		Chargers: []core.Charger{
-			{ID: "lin", Pos: geom.Pt(0, 0), Fee: 1, Tariff: pricing.Linear{Rate: 0.5}, Efficiency: 1},
-			{ID: "pow", Pos: geom.Pt(2, 2), Fee: 1, Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.8}, Efficiency: 0.9},
+			{ID: "lin", Pos: geom.Pt(0, 0), Fee: 1, Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.5}, Efficiency: 1},
+			{ID: "pow", Pos: geom.Pt(2, 2), Fee: 1, Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.8}, Efficiency: 0.9},
 			{ID: "tier", Pos: geom.Pt(3, 3), Fee: 1, Tariff: testutil.MustTiered([]pricing.Tier{
 				{UpTo: 100, Rate: 0.5}, {UpTo: math.Inf(1), Rate: 0.2},
 			}), Efficiency: 0.8},

@@ -421,7 +421,7 @@ func (s *scanner) charger(dst *[]core.Charger) bool {
 	// which rejects it: not mine.
 	*dst = append(*dst, c)
 	s.chIDs = append(s.chIDs, idSpan{lo, len(s.ids)})
-	return ok && c.Tariff != nil
+	return ok && c.Tariff.Kind != 0
 }
 
 // tariffKeys omits "tiers": tiered tariffs parse their bounds with
@@ -443,15 +443,15 @@ func (s *scanner) tariff() (pricing.Tariff, bool) {
 		return s.float(floats[k])
 	})
 	if !ok {
-		return nil, false
+		return pricing.Tariff{}, false
 	}
 	switch string(kind) {
 	case "linear":
-		return pricing.Linear{Rate: rate}, true
+		return pricing.Tariff{Kind: pricing.Linear, Rate: rate}, true
 	case "powerlaw":
-		return pricing.PowerLaw{Coeff: coeff, Exponent: exponent}, true
+		return pricing.Tariff{Kind: pricing.PowerLaw, Coeff: coeff, Exponent: exponent}, true
 	}
-	return nil, false
+	return pricing.Tariff{}, false
 }
 
 // scanInstance decodes a whole document holding one instance object.

@@ -23,8 +23,8 @@ import (
 // charger order/ID/position/fee/efficiency/capacity/tariff. Floats are
 // hashed by bit pattern (math.Float64bits), so 0.1+0.2 and 0.3 are
 // different instances — the cache never conflates inputs that could solve
-// differently. Tariffs hash as a tagged union; an unknown tariff
-// implementation is an error rather than a silent collision.
+// differently. Tariffs hash as a tagged union over their kind; a charger
+// with no tariff is an error rather than a silent collision.
 func Fingerprint(in *core.Instance) ([32]byte, error) {
 	bp := fingerprintBufs.Get().(*[]byte)
 	defer fingerprintBufs.Put(bp)
@@ -84,24 +84,24 @@ func appendCanonical(b []byte, in *core.Instance) ([]byte, error) {
 		f64(c.TravelBudget)
 		f64(c.Depot.X)
 		f64(c.Depot.Y)
-		switch tf := c.Tariff.(type) {
+		switch t := &c.Tariff; t.Kind {
 		case pricing.Linear:
 			str("linear")
-			f64(tf.Rate)
+			f64(t.Rate)
 		case pricing.PowerLaw:
 			str("powerlaw")
-			f64(tf.Coeff)
-			f64(tf.Exponent)
-		case *pricing.Tiered:
+			f64(t.Coeff)
+			f64(t.Exponent)
+		case pricing.Tiered:
 			str("tiered")
-			tiers := tf.Tiers()
+			tiers := t.Tiers()
 			u64(uint64(len(tiers)))
 			for _, tier := range tiers {
 				f64(tier.UpTo)
 				f64(tier.Rate)
 			}
 		default:
-			return b, fmt.Errorf("instcache: charger %s: unsupported tariff type %T", c.ID, c.Tariff)
+			return b, fmt.Errorf("instcache: charger %s: %s", c.ID, t.Name())
 		}
 	}
 	return b, nil

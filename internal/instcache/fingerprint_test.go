@@ -3,6 +3,7 @@ package instcache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/pricing"
 	"repro/internal/testutil"
@@ -60,24 +62,24 @@ func streamingFingerprint(in *core.Instance) ([32]byte, error) {
 		f64(c.TravelBudget)
 		f64(c.Depot.X)
 		f64(c.Depot.Y)
-		switch tf := c.Tariff.(type) {
+		switch t := &c.Tariff; t.Kind {
 		case pricing.Linear:
 			str("linear")
-			f64(tf.Rate)
+			f64(t.Rate)
 		case pricing.PowerLaw:
 			str("powerlaw")
-			f64(tf.Coeff)
-			f64(tf.Exponent)
-		case *pricing.Tiered:
+			f64(t.Coeff)
+			f64(t.Exponent)
+		case pricing.Tiered:
 			str("tiered")
-			tiers := tf.Tiers()
+			tiers := t.Tiers()
 			u64(uint64(len(tiers)))
 			for _, tier := range tiers {
 				f64(tier.UpTo)
 				f64(tier.Rate)
 			}
 		default:
-			return [32]byte{}, fmt.Errorf("instcache: charger %s: unsupported tariff type %T", c.ID, c.Tariff)
+			return [32]byte{}, fmt.Errorf("instcache: charger %s: %s", c.ID, t.Name())
 		}
 	}
 	var sum [32]byte
@@ -106,9 +108,9 @@ func randomFingerprintInstance(r *rand.Rand) *core.Instance {
 		}
 		switch r.Intn(3) {
 		case 0:
-			c.Tariff = pricing.Linear{Rate: r.Float64()}
+			c.Tariff = pricing.Tariff{Kind: pricing.Linear, Rate: r.Float64()}
 		case 1:
-			c.Tariff = pricing.PowerLaw{Coeff: r.Float64(), Exponent: 0.5 + 0.5*r.Float64()}
+			c.Tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: r.Float64(), Exponent: 0.5 + 0.5*r.Float64()}
 		default:
 			c.Tariff = testutil.MustTiered([]pricing.Tier{
 				{UpTo: 100 + 100*r.Float64(), Rate: 0.5},
@@ -132,7 +134,7 @@ func randomFingerprintInstance(r *rand.Rand) *core.Instance {
 
 // TestFingerprintMatchesStreamingHash holds the one-call digest to the
 // streaming one it replaced, over random instances covering all three
-// tariff kinds and mobile chargers, and over the unknown-tariff error.
+// tariff kinds and mobile chargers, and over the missing-tariff error.
 func TestFingerprintMatchesStreamingHash(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 300; trial++ {
@@ -150,10 +152,47 @@ func TestFingerprintMatchesStreamingHash(t *testing.T) {
 		}
 	}
 	in := randomFingerprintInstance(r)
-	in.Chargers[0].Tariff = fakeTariff{}
+	in.Chargers[0].Tariff = pricing.Tariff{}
 	_, err := Fingerprint(in)
 	_, want := streamingFingerprint(in)
 	if err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("unknown tariff: error %v, streaming error %v", err, want)
+		t.Fatalf("missing tariff: error %v, streaming error %v", err, want)
+	}
+}
+
+// TestFingerprintPinned pins Fingerprint's digests across versions of
+// the code, not only across its two implementations: a seeded
+// LargeField(200, 20) instance, whose tariffs are all power laws, and
+// variants with one linear tariff, one tiered tariff and one mobile
+// charger. A digest that moves invalidates every cache keyed by it.
+func TestFingerprintPinned(t *testing.T) {
+	for _, tt := range []struct {
+		name, want string
+		edit       func(in *core.Instance)
+	}{
+		{"power laws", "fc3bc147d830e5c521df079e34391e4c2c718ade85ed863fc69d8c6af4084158", func(*core.Instance) {}},
+		{"one linear", "1916492447f4e35ce9e191fcf589cd6913609f42e14de0a7a9c39d3485d24d83", func(in *core.Instance) {
+			in.Chargers[0].Tariff = pricing.Tariff{Kind: pricing.Linear, Rate: 0.03}
+		}},
+		{"one tiered", "7ae42400c03f9e487c0654f58373e4511a7d0f8d3388e4db0507d5fa5067bdc9", func(in *core.Instance) {
+			in.Chargers[1].Tariff = testutil.MustTiered([]pricing.Tier{{UpTo: 200, Rate: 0.05}, {UpTo: math.Inf(1), Rate: 0.02}})
+		}},
+		{"one mobile", "a7c167a86fd95f703da32f2bbdf33d332a9db4b3f3e4ed0a17e0df3bc55fcb97", func(in *core.Instance) {
+			c := &in.Chargers[2]
+			c.Mobile, c.MoveRate, c.Speed, c.TravelBudget, c.Depot = true, 0.05, 2, 3000, geom.Pt(10, 20)
+		}},
+	} {
+		in, err := gen.Instance(7, gen.LargeField(200, 20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt.edit(in)
+		sum, err := Fingerprint(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(sum[:]); got != tt.want {
+			t.Errorf("%s: digest %s, pinned %s", tt.name, got, tt.want)
+		}
 	}
 }

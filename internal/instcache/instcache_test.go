@@ -24,9 +24,9 @@ func testInstance(nudge float64) *core.Instance {
 		},
 		Chargers: []core.Charger{
 			{ID: "c0", Pos: geom.Pt(300, 300), Fee: 8,
-				Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+				Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
 			{ID: "c1", Pos: geom.Pt(700, 700), Fee: 8,
-				Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+				Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
 		},
 	}
 }
@@ -54,8 +54,10 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		"charger fee":   func(in *core.Instance) { in.Chargers[0].Fee++ },
 		"charger eff":   func(in *core.Instance) { in.Chargers[1].Efficiency = 0.9 },
 		"charger cap":   func(in *core.Instance) { in.Chargers[0].Capacity = 500 },
-		"tariff kind":   func(in *core.Instance) { in.Chargers[0].Tariff = pricing.Linear{Rate: 0.3} },
-		"tariff params": func(in *core.Instance) { in.Chargers[0].Tariff = pricing.PowerLaw{Coeff: 0.3, Exponent: 0.91} },
+		"tariff kind":   func(in *core.Instance) { in.Chargers[0].Tariff = pricing.Tariff{Kind: pricing.Linear, Rate: 0.3} },
+		"tariff params": func(in *core.Instance) {
+			in.Chargers[0].Tariff = pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.91}
+		},
 		"tiered tariff": func(in *core.Instance) {
 			in.Chargers[0].Tariff = testutil.MustTiered([]pricing.Tier{{UpTo: 100, Rate: 0.3}, {UpTo: math.Inf(1), Rate: 0.2}})
 		},
@@ -92,16 +94,13 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 }
 
-type fakeTariff struct{}
-
-func (fakeTariff) Price(float64) float64 { return 0 }
-func (fakeTariff) Name() string          { return "fake" }
-
+// TestFingerprintRejectsUnknownTariff: a charger whose tariff has the
+// zero kind, no tariff at all, cannot be fingerprinted.
 func TestFingerprintRejectsUnknownTariff(t *testing.T) {
 	in := testInstance(0)
-	in.Chargers[0].Tariff = fakeTariff{}
+	in.Chargers[0].Tariff = pricing.Tariff{}
 	if _, err := Fingerprint(in); err == nil {
-		t.Fatal("unknown tariff type accepted")
+		t.Fatal("charger without a tariff accepted")
 	}
 }
 

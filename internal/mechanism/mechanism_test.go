@@ -27,7 +27,7 @@ func testModel(t *testing.T, seed int64, n, m int) *core.CostModel {
 			ID:         "c",
 			Pos:        geom.Pt(r.Float64()*500, r.Float64()*500),
 			Fee:        3 + r.Float64()*10,
-			Tariff:     pricing.PowerLaw{Coeff: 0.1 + r.Float64()*0.2, Exponent: 0.85},
+			Tariff:     pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.1 + r.Float64()*0.2, Exponent: 0.85},
 			Efficiency: 0.7 + r.Float64()*0.3,
 		})
 	}

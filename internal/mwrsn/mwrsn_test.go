@@ -12,8 +12,8 @@ import (
 
 func testConfig(s core.Scheduler) Config {
 	chargers := []core.Charger{
-		{ID: "c0", Pos: geom.Pt(250, 250), Fee: 6, Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
-		{ID: "c1", Pos: geom.Pt(750, 750), Fee: 6, Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+		{ID: "c0", Pos: geom.Pt(250, 250), Fee: 6, Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+		{ID: "c1", Pos: geom.Pt(750, 750), Fee: 6, Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
 	}
 	return Config{
 		Field:    geom.Square(1000),

@@ -19,7 +19,7 @@ func steadyDrainConfig(proactive bool) Config {
 		NumNodes: 6,
 		Chargers: []core.Charger{
 			{ID: "c", Pos: geom.Pt(100, 100), Fee: 3,
-				Tariff: pricing.Linear{Rate: 0.02}, Efficiency: 1},
+				Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.02}, Efficiency: 1},
 		},
 		Node: NodeParams{
 			BatteryCapacity: 1000,

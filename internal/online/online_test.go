@@ -12,9 +12,9 @@ import (
 func testChargers() []core.Charger {
 	return []core.Charger{
 		{ID: "c0", Pos: geom.Pt(300, 300), Fee: 8,
-			Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+			Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
 		{ID: "c1", Pos: geom.Pt(700, 700), Fee: 8,
-			Tariff: pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
+			Tariff: pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9}, Efficiency: 0.8},
 	}
 }
 

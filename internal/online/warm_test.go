@@ -20,7 +20,7 @@ func gridChargers() []core.Charger {
 			ID:         "c" + string(rune('0'+j)),
 			Pos:        geom.Pt(150+float64(j%3)*350, 150+float64(j/3)*350),
 			Fee:        8,
-			Tariff:     pricing.PowerLaw{Coeff: 0.3, Exponent: 0.9},
+			Tariff:     pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.3, Exponent: 0.9},
 			Efficiency: 0.8,
 		}
 	}

@@ -34,66 +34,24 @@ type Chord struct {
 	top float64
 }
 
-// Unwrapper is implemented by a tariff that decorates another one — a
-// meter or a logger, say — and prices exactly as the tariff Unwrap
-// returns. Validate and NewChord look through it to the closed form
-// below.
-type Unwrapper interface {
-	Unwrap() Tariff
-}
-
-// unwrap returns the innermost tariff below t's Unwrapper decorators.
-func unwrap(t Tariff) Tariff {
-	for {
-		u, ok := t.(Unwrapper)
-		if !ok {
-			return t
-		}
-		t = u.Unwrap()
+// checkedTop returns t.Price(maxEnergy) and whether concaveByForm
+// accepts t over [0, maxEnergy]. A PowerLaw reuses the price its check
+// computed.
+func checkedTop(t *Tariff, maxEnergy float64) (float64, bool) {
+	if t.Kind == PowerLaw {
+		return PowerLawOver(t, maxEnergy)
 	}
-}
-
-// checkedTop returns t.Price(maxEnergy) and whether t is, through
-// Unwrapper decorators, a closed form concaveByForm accepts over
-// [0, maxEnergy]. A bare PowerLaw reuses the price its check computed;
-// any other accepted tariff is priced, so a decorator still sees (and
-// may count) the call.
-func checkedTop(t Tariff, maxEnergy float64) (float64, bool) {
-	if p, bare := t.(PowerLaw); bare {
-		return powerLawTop(p, maxEnergy)
-	}
-	if !concaveByForm(unwrap(t), maxEnergy, 3) {
+	if !concaveByForm(t, maxEnergy, 3) {
 		return 0, false
 	}
 	return t.Price(maxEnergy), true
 }
 
-// PowerLawOver reports whether t prices as a PowerLaw — itself, or
-// through Unwrapper decorators — inside concaveByForm's analytic region
-// over [0, maxEnergy]: exponent in [2⁻¹⁰, 1], coefficient ≥ 0, maxEnergy
-// in [1e-250, 1e250] and a top price ≤ 1e300. There every price up to
-// maxEnergy is finite and, where normal, carries only math.Pow's ~1e-13
-// relative error. When it does, top is t.Price(maxEnergy), priced once:
-// by the check for a bare PowerLaw, through the decorators otherwise.
-func PowerLawOver(t Tariff, maxEnergy float64) (top float64, ok bool) {
-	p, isPow := unwrap(t).(PowerLaw)
-	if !isPow {
-		return 0, false
-	}
-	if top, ok = powerLawTop(p, maxEnergy); ok {
-		if _, bare := t.(PowerLaw); !bare {
-			top = t.Price(maxEnergy)
-		}
-	}
-	return top, ok
-}
-
 // NewChord prices t at lo/eff and hi/eff — once when lo == hi, and for a
-// bare PowerLaw at hi/eff only in the form check (see checkedTop) — and
+// PowerLaw at hi/eff only in the form check (see checkedTop) — and
 // returns the chord through those prices for demands in [lo, hi]. Only
-// the closed forms concaveByForm accepts over [0, hi/eff] get one
-// (looking through Unwrapper decorators); any other tariff, or an empty
-// range, gets the zero chord.
+// a tariff concaveByForm accepts over [0, hi/eff] gets one; any other
+// tariff, or an empty range, gets the zero chord.
 //
 // Why Lower never exceeds the computed price of d/eff:
 //
@@ -122,7 +80,7 @@ func NewChord(t Tariff, eff, lo, hi float64) Chord {
 	if !(lo <= hi) {
 		return Chord{}
 	}
-	top, ok := checkedTop(t, hi/eff)
+	top, ok := checkedTop(&t, hi/eff)
 	if !ok {
 		return Chord{}
 	}

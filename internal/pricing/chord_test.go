@@ -54,7 +54,7 @@ func TestChordBoundsComputedPrice(t *testing.T) {
 		var tariff Tariff
 		switch k % 4 {
 		case 0:
-			tariff = Linear{Rate: logU(-320, 300) / maxEnergy}
+			tariff = Tariff{Kind: Linear, Rate: logU(-320, 300) / maxEnergy}
 		case 1:
 			exp := 1 - r.Float64()*(1-formMinExponent)
 			switch k % 7 {
@@ -63,7 +63,7 @@ func TestChordBoundsComputedPrice(t *testing.T) {
 			case 1:
 				exp = formMinExponent
 			}
-			tariff = PowerLaw{Coeff: logU(-320, 300) / math.Pow(maxEnergy, exp), Exponent: exp}
+			tariff = Tariff{Kind: PowerLaw, Coeff: logU(-320, 300) / math.Pow(maxEnergy, exp), Exponent: exp}
 		case 2:
 			r0 := logU(-300, 300) / maxEnergy
 			tiers := []Tier{{UpTo: maxEnergy * r.Float64(), Rate: r0}, {UpTo: maxEnergy, Rate: r0 * r.Float64()}, {UpTo: math.Inf(1), Rate: r0 * 1e-3}}
@@ -73,7 +73,7 @@ func TestChordBoundsComputedPrice(t *testing.T) {
 			}
 			tariff = tr
 		default:
-			tariff = Linear{Rate: 0.01 + r.Float64()}
+			tariff = Tariff{Kind: Linear, Rate: 0.01 + r.Float64()}
 		}
 		c := NewChord(tariff, eff, lo, hi)
 		if c == (Chord{}) {
@@ -102,8 +102,8 @@ func TestChordBoundsComputedPrice(t *testing.T) {
 // price above the range.
 func TestChordIsTight(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	lin := Linear{Rate: 0.12}
-	pow := PowerLaw{Coeff: 0.4, Exponent: 0.9}
+	lin := Tariff{Kind: Linear, Rate: 0.12}
+	pow := Tariff{Kind: PowerLaw, Coeff: 0.4, Exponent: 0.9}
 	const eff, lo, hi = 0.8, 50.0, 750.0
 	lc, pc := NewChord(lin, eff, lo, hi), NewChord(pow, eff, lo, hi)
 	for k := 0; k < 1000; k++ {
@@ -125,19 +125,19 @@ func TestChordIsTight(t *testing.T) {
 	}
 }
 
-// TestChordZeroWithoutClosedForm: a tariff with no closed form, or a
-// range outside the analytic region, gets the zero chord, which bounds
-// every price by 0; a decorator that unwraps to a closed form gets the
-// closed form's chord.
+// TestChordZeroWithoutClosedForm: no tariff, a tariff outside its
+// kind's analytic region, or a range outside it, gets the zero chord,
+// which bounds every price by 0.
 func TestChordZeroWithoutClosedForm(t *testing.T) {
-	pow := PowerLaw{Coeff: 0.4, Exponent: 0.9}
+	pow := Tariff{Kind: PowerLaw, Coeff: 0.4, Exponent: 0.9}
 	for _, tt := range []struct {
 		name   string
 		tariff Tariff
 		lo, hi float64
 	}{
-		{"hand-rolled tariff", convexTariff{}, 1, 100},
-		{"decorator without Unwrap", struct{ Tariff }{pow}, 1, 100},
+		{"no tariff", Tariff{}, 1, 100},
+		{"exponent below 2^-10", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: 1e-4}, 1, 100},
+		{"tiered without tiers", Tariff{Kind: Tiered}, 1, 100},
 		{"empty range", pow, 0, 0},
 		{"inverted range", pow, 100, 1},
 		{"NaN range", pow, math.NaN(), math.NaN()},
@@ -154,16 +154,7 @@ func TestChordZeroWithoutClosedForm(t *testing.T) {
 			}
 		}
 	}
-	if got, want := NewChord(meter{meter{pow}}, 0.5, 1, 100), NewChord(pow, 0.5, 1, 100); got != want || got == (Chord{}) {
-		t.Errorf("decorated power law: chord %+v, want the undecorated %+v", got, want)
-	}
 }
-
-// meter is an Unwrapper decorator that prices exactly as the tariff it
-// wraps.
-type meter struct{ Tariff }
-
-func (m meter) Unwrap() Tariff { return m.Tariff }
 
 // manyTiers returns n tiers with halving rates, the last one unbounded.
 func manyTiers(n int) []Tier {
@@ -177,10 +168,10 @@ func manyTiers(n int) []Tier {
 	return tiers
 }
 
-// TestPowerLawOver: only a power law, bare or decorated through
-// Unwrapper, inside the analytic region over [0, maxEnergy] qualifies.
+// TestPowerLawOver: only a power law inside the analytic region over
+// [0, maxEnergy] qualifies.
 func TestPowerLawOver(t *testing.T) {
-	pow := PowerLaw{Coeff: 0.4, Exponent: 0.9}
+	pow := Tariff{Kind: PowerLaw, Coeff: 0.4, Exponent: 0.9}
 	for _, tt := range []struct {
 		name      string
 		tariff    Tariff
@@ -188,44 +179,33 @@ func TestPowerLawOver(t *testing.T) {
 		want      bool
 	}{
 		{"power law", pow, 100, true},
-		{"decorated power law", meter{meter{pow}}, 100, true},
-		{"exponent 2^-10", PowerLaw{Coeff: 1, Exponent: formMinExponent}, 1e6, true},
-		{"exponent 1", PowerLaw{Coeff: 1, Exponent: 1}, 1e6, true},
-		{"exponent below 2^-10", PowerLaw{Coeff: 1, Exponent: formMinExponent / 2}, 1e6, false},
-		{"decorator without Unwrap", struct{ Tariff }{pow}, 100, false},
-		{"linear", Linear{Rate: 0.02}, 100, false},
+		{"exponent 2^-10", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: formMinExponent}, 1e6, true},
+		{"exponent 1", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: 1}, 1e6, true},
+		{"exponent below 2^-10", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: formMinExponent / 2}, 1e6, false},
+		{"no tariff", Tariff{}, 100, false},
+		{"linear", Tariff{Kind: Linear, Rate: 0.02}, 100, false},
 		{"tiered", MustTiered(manyTiers(3)), 100, false},
 		{"empty range", pow, 0, false},
 		{"NaN range", pow, math.NaN(), false},
 		{"range above the analytic region", pow, 1e260, false},
-		{"top price above 1e300", PowerLaw{Coeff: 1e299, Exponent: 1}, 100, false},
+		{"top price above 1e300", Tariff{Kind: PowerLaw, Coeff: 1e299, Exponent: 1}, 100, false},
 	} {
-		if _, got := PowerLawOver(tt.tariff, tt.maxEnergy); got != tt.want {
+		if _, got := PowerLawOver(&tt.tariff, tt.maxEnergy); got != tt.want {
 			t.Errorf("%s: PowerLawOver = %v, want %v", tt.name, got, tt.want)
 		}
 	}
 }
 
-// countingMeter is a meter that counts its prices.
-type countingMeter struct {
-	Tariff
-	n *int
-}
-
-func (m countingMeter) Unwrap() Tariff { return m.Tariff }
-
-func (m countingMeter) Price(e float64) float64 { *m.n++; return m.Tariff.Price(e) }
-
-// TestCheckedTopIsPrice: the top price a bare power law's form check
+// TestCheckedTopIsPrice: the top price a power law's form check
 // computes, which PowerLawOver returns and NewChord scales, is bit for bit
 // t.Price at the right end, over random coefficients, exponents,
-// efficiencies and demands; a decorated power law is priced there through
-// its decorator, exactly once, to the same bits.
+// efficiencies and demands.
 func TestCheckedTopIsPrice(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	checked := 0
 	for k := 0; k < 20000; k++ {
-		p := PowerLaw{
+		p := Tariff{
+			Kind:     PowerLaw,
 			Coeff:    math.Pow(10, -8+16*r.Float64()),
 			Exponent: formMinExponent + (1-formMinExponent)*r.Float64(),
 		}
@@ -238,7 +218,7 @@ func TestCheckedTopIsPrice(t *testing.T) {
 		eff := math.Pow(10, -3*r.Float64())
 		hi := math.Pow(10, -260+520*r.Float64())
 		want := p.Price(hi / eff)
-		top, ok := PowerLawOver(p, hi/eff)
+		top, ok := PowerLawOver(&p, hi/eff)
 		if !ok {
 			continue
 		}
@@ -246,17 +226,9 @@ func TestCheckedTopIsPrice(t *testing.T) {
 		if math.Float64bits(top) != math.Float64bits(want) {
 			t.Fatalf("%#v at %v J: checked top %v, Price %v", p, hi/eff, top, want)
 		}
-		n := 0
-		if top, _ := PowerLawOver(countingMeter{p, &n}, hi/eff); n != 1 || math.Float64bits(top) != math.Float64bits(want) {
-			t.Fatalf("%#v at %v J decorated: top %v after %d prices, want %v after 1", p, hi/eff, top, n, want)
-		}
 		c := NewChord(p, eff, hi/2, hi)
 		if pHi := want * chordMargin; pHi >= chordMinPrice && math.Float64bits(c.top) != math.Float64bits(pHi) {
 			t.Fatalf("%#v over [%v, %v]/%v: chord top %v, want %v", p, hi/2, hi, eff, c.top, pHi)
-		}
-		n = 0
-		if d := NewChord(countingMeter{p, &n}, eff, hi/2, hi); d != c || n > 2 {
-			t.Fatalf("%#v over [%v, %v]/%v decorated: chord %+v after %d prices, want %+v", p, hi/2, hi, eff, d, n, c)
 		}
 	}
 	if checked < 10000 {

@@ -51,8 +51,9 @@ func FuzzTieredPrice(f *testing.F) {
 // FuzzTariffValidate pins Validate's analytic fast path to the grid spot
 // check it skips: for any tariff, energy range and sample count, the
 // analytic-then-spot verdict must equal the spot check alone, error text
-// included. kind picks the tariff: 0 Linear{a}, 1 PowerLaw{a, b}, 2 a
-// three-tier Tiered with bounds a, d and rates b, c, c/2.
+// included. kind picks the tariff: 0 Linear with rate a, 1 PowerLaw
+// with coefficient a and exponent b, 2 a three-tier Tiered with bounds
+// a, d and rates b, c, c/2.
 func FuzzTariffValidate(f *testing.F) {
 	f.Add(uint8(0), 0.15, 0.0, 0.0, 0.0, 1.5e5, 64)
 	f.Add(uint8(0), -0.5, 0.0, 0.0, 0.0, 100.0, 64)
@@ -80,9 +81,9 @@ func FuzzTariffValidate(f *testing.F) {
 		var tariff Tariff
 		switch kind % 3 {
 		case 0:
-			tariff = Linear{Rate: a}
+			tariff = Tariff{Kind: Linear, Rate: a}
 		case 1:
-			tariff = PowerLaw{Coeff: a, Exponent: b}
+			tariff = Tariff{Kind: PowerLaw, Coeff: a, Exponent: b}
 		default:
 			tr, err := NewTiered([]Tier{{UpTo: a, Rate: b}, {UpTo: d, Rate: c}, {UpTo: math.Inf(1), Rate: c / 2}})
 			if err != nil {
@@ -90,7 +91,7 @@ func FuzzTariffValidate(f *testing.F) {
 			}
 			tariff = tr
 		}
-		got, want := Validate(tariff, maxEnergy, samples), spotCheck(tariff, maxEnergy, samples)
+		got, want := Validate(tariff, maxEnergy, samples), spotCheck(&tariff, maxEnergy, samples)
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 			t.Fatalf("Validate(%s, %v, %d) = %v, spot check alone = %v", tariff.Name(), maxEnergy, samples, got, want)
 		}

@@ -13,62 +13,84 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Tariff prices the total energy (joules) purchased in one session.
+// Kind names which closed form a Tariff is. The zero Kind is no tariff.
+type Kind uint8
+
+// The closed forms a Tariff can take.
+const (
+	// Linear is the flat tariff price = Rate × energy ($/J). It is the
+	// degenerate concave tariff: with it, cooperation saves only the
+	// per-session fee, not energy cost.
+	Linear Kind = iota + 1
+	// PowerLaw is the tariff price = Coeff × energy^Exponent with
+	// Exponent ∈ (0, 1], a smooth volume discount.
+	PowerLaw
+	// Tiered is a piecewise-linear tariff with decreasing marginal rates
+	// — the familiar "first 100 J at full price, next 400 J discounted"
+	// bulk plan. Only NewTiered builds one, after checking concavity.
+	Tiered
+)
+
+// Tariff prices the total energy (joules) purchased in one session. It
+// is one of the closed forms Kind names, held by value; the fields a
+// kind does not use are ignored.
 //
-// Implementations must be nondecreasing and concave on [0, ∞) with
-// Price(0) == 0; Validate can be used to spot-check both properties.
-type Tariff interface {
-	// Price returns the cost ($) of purchasing energy joules in one
-	// session. Price(0) must be 0 and Price must be nondecreasing and
-	// concave.
-	Price(energy float64) float64
-	// Name returns a short human-readable description for tables.
-	Name() string
+// A tariff must be nondecreasing and concave on [0, ∞); every kind
+// prices energy <= 0 at 0. Validate spot-checks both properties.
+type Tariff struct {
+	Kind     Kind
+	Rate     float64 // Linear: $/J
+	Coeff    float64 // PowerLaw: $ at 1 J
+	Exponent float64 // PowerLaw: in (0, 1]
+	tiers    []Tier  // Tiered: set by NewTiered
 }
 
-// Linear is the flat tariff price = Rate × energy ($/J). It is the
-// degenerate concave tariff: with it, cooperation saves only the
-// per-session fee, not energy cost.
-type Linear struct {
-	Rate float64 // $/J
-}
-
-var _ Tariff = Linear{}
-
-// Price implements Tariff.
-func (l Linear) Price(energy float64) float64 {
+// Price returns the cost ($) of purchasing energy joules in one session;
+// the zero Kind prices positive energy at NaN.
+func (t *Tariff) Price(energy float64) float64 {
 	if energy <= 0 {
 		return 0
 	}
-	return l.Rate * energy
-}
-
-// Name implements Tariff.
-func (l Linear) Name() string { return fmt.Sprintf("linear(%.4g$/J)", l.Rate) }
-
-// PowerLaw is the tariff price = Coeff × energy^Exponent with
-// Exponent ∈ (0, 1], a smooth volume discount.
-type PowerLaw struct {
-	Coeff    float64 // $ at 1 J
-	Exponent float64 // in (0, 1]
-}
-
-var _ Tariff = PowerLaw{}
-
-// Price implements Tariff.
-func (p PowerLaw) Price(energy float64) float64 {
-	if energy <= 0 {
-		return 0
+	switch t.Kind {
+	case Linear:
+		return t.Rate * energy
+	case PowerLaw:
+		return t.Coeff * math.Pow(energy, t.Exponent)
+	case Tiered:
+		var (
+			cost float64
+			prev float64
+		)
+		for _, tr := range t.tiers {
+			hi := math.Min(energy, tr.UpTo)
+			if hi > prev {
+				cost += (hi - prev) * tr.Rate
+			}
+			if energy <= tr.UpTo {
+				break
+			}
+			prev = tr.UpTo
+		}
+		return cost
 	}
-	return p.Coeff * math.Pow(energy, p.Exponent)
+	return math.NaN()
 }
 
-// Name implements Tariff.
-func (p PowerLaw) Name() string {
-	return fmt.Sprintf("powerlaw(%.4g·E^%.2f)", p.Coeff, p.Exponent)
+// Name returns a short human-readable description for tables.
+func (t *Tariff) Name() string {
+	switch t.Kind {
+	case Linear:
+		return fmt.Sprintf("linear(%.4g$/J)", t.Rate)
+	case PowerLaw:
+		return fmt.Sprintf("powerlaw(%.4g·E^%.2f)", t.Coeff, t.Exponent)
+	case Tiered:
+		return fmt.Sprintf("tiered(%d tiers)", len(t.tiers))
+	}
+	return "no tariff"
 }
 
 // Tier is one segment of a Tiered tariff: energy above UpTo of the previous
@@ -78,90 +100,50 @@ type Tier struct {
 	Rate float64 // $/J within the tier
 }
 
-// Tiered is a piecewise-linear tariff with decreasing marginal rates —
-// the familiar "first 100 J at full price, next 400 J discounted" bulk
-// plan. Construct it with NewTiered, which validates concavity.
-type Tiered struct {
-	tiers []Tier
-}
-
-var _ Tariff = (*Tiered)(nil)
-
 // NewTiered builds a Tiered tariff. Tiers must have strictly increasing
 // UpTo bounds, strictly positive rates in nonincreasing order (concavity),
 // and the last tier must be unbounded (UpTo = +Inf).
-func NewTiered(tiers []Tier) (*Tiered, error) {
+func NewTiered(tiers []Tier) (Tariff, error) {
 	if len(tiers) == 0 {
-		return nil, errors.New("pricing: no tiers")
+		return Tariff{}, errors.New("pricing: no tiers")
 	}
 	for i, tr := range tiers {
 		if tr.Rate <= 0 {
-			return nil, fmt.Errorf("pricing: tier %d rate %v <= 0", i, tr.Rate)
+			return Tariff{}, fmt.Errorf("pricing: tier %d rate %v <= 0", i, tr.Rate)
 		}
 		if i > 0 {
 			if tr.UpTo <= tiers[i-1].UpTo {
-				return nil, fmt.Errorf("pricing: tier %d bound %v not increasing", i, tr.UpTo)
+				return Tariff{}, fmt.Errorf("pricing: tier %d bound %v not increasing", i, tr.UpTo)
 			}
 			if tr.Rate > tiers[i-1].Rate {
-				return nil, fmt.Errorf("pricing: tier %d rate %v increases (not concave)", i, tr.Rate)
+				return Tariff{}, fmt.Errorf("pricing: tier %d rate %v increases (not concave)", i, tr.Rate)
 			}
 		}
 	}
 	if last := tiers[len(tiers)-1]; !math.IsInf(last.UpTo, 1) {
-		return nil, errors.New("pricing: last tier must be unbounded (UpTo=+Inf)")
+		return Tariff{}, errors.New("pricing: last tier must be unbounded (UpTo=+Inf)")
 	}
-	cp := make([]Tier, len(tiers))
-	copy(cp, tiers)
-	return &Tiered{tiers: cp}, nil
+	return Tariff{Kind: Tiered, tiers: slices.Clone(tiers)}, nil
 }
 
-// Price implements Tariff.
-func (t *Tiered) Price(energy float64) float64 {
-	if energy <= 0 {
-		return 0
-	}
-	var (
-		cost float64
-		prev float64
-	)
-	for _, tr := range t.tiers {
-		hi := math.Min(energy, tr.UpTo)
-		if hi > prev {
-			cost += (hi - prev) * tr.Rate
-		}
-		if energy <= tr.UpTo {
-			break
-		}
-		prev = tr.UpTo
-	}
-	return cost
-}
+// Tiers returns a copy of a Tiered tariff's tier table.
+func (t *Tariff) Tiers() []Tier { return slices.Clone(t.tiers) }
 
-// Name implements Tariff.
-func (t *Tiered) Name() string { return fmt.Sprintf("tiered(%d tiers)", len(t.tiers)) }
-
-// Tiers returns a copy of the tier table.
-func (t *Tiered) Tiers() []Tier {
-	cp := make([]Tier, len(t.tiers))
-	copy(cp, t.tiers)
-	return cp
-}
-
-// Validate spot-checks that tariff is zero at zero, nondecreasing and
-// concave on a grid of sample energies up to maxEnergy. It returns nil if
-// all checks pass. It is used by tests and by instance validation to catch
-// hand-rolled tariffs that would silently break CCSA's guarantees.
+// Validate spot-checks that tariff is nondecreasing and concave on a
+// grid of sample energies up to maxEnergy. It returns nil if all checks
+// pass. It is used by tests and by instance validation to catch
+// tariffs that would silently break CCSA's guarantees.
 //
-// The closed-form tariffs, and Unwrapper decorators of them, are first
-// accepted analytically (see concaveByForm); only a tariff that check
-// does not accept is priced on the grid. The analytic region lies inside
-// the region the grid check accepts, so the verdict and any error are
+// A tariff inside its kind's analytic region is first accepted
+// analytically (see concaveByForm); only a tariff that check does not
+// accept is priced on the grid. The analytic region lies inside the
+// region the grid check accepts, so the verdict and any error are
 // exactly the grid check's.
 func Validate(tariff Tariff, maxEnergy float64, samples int) error {
-	if samples >= 3 && concaveByForm(unwrap(tariff), maxEnergy, samples) {
+	if samples >= 3 && concaveByForm(&tariff, maxEnergy, samples) {
 		return nil
 	}
-	return spotCheck(tariff, maxEnergy, samples)
+	return spotCheck(&tariff, maxEnergy, samples)
 }
 
 // The bounds of concaveByForm's analytic region; its comment says why
@@ -176,7 +158,7 @@ const (
 	formMaxTiers    = 1024
 )
 
-// concaveByForm reports whether tariff is one of the closed forms that
+// concaveByForm reports whether tariff lies in its kind's region that
 // provably passes spotCheck(tariff, maxEnergy, samples) with samples >= 3:
 //
 //   - Linear with a rate >= 0 and a top price Rate·maxEnergy <= 1e300:
@@ -191,7 +173,7 @@ const (
 //     monotone nor the concavity test can trip on rounding. A price
 //     that underflows is below 1e-300, far below the check's absolute
 //     1e-9 slack.
-//   - *Tiered with at most 1024 tiers, finite positive rates (NewTiered
+//   - Tiered with 1 to 1024 tiers, finite positive rates (NewTiered
 //     keeps them nonincreasing), finite bounds >= 0 and a top price
 //     rate₀·maxEnergy <= 1e300: the price is the integral of a
 //     nonincreasing step function from 0, so it is concave; the computed
@@ -204,21 +186,21 @@ const (
 // maxEnergy must lie in [1e-250, 1e250] so the grid points are normal
 // floats carrying their relative error. Outside this region Validate
 // falls back to the grid check, so the region only has to be a subset.
-func concaveByForm(tariff Tariff, maxEnergy float64, samples int) bool {
+func concaveByForm(t *Tariff, maxEnergy float64, samples int) bool {
 	if !formEnergy(maxEnergy) || samples > formMaxSamples {
 		return false
 	}
-	switch tf := tariff.(type) {
+	switch t.Kind {
 	case Linear:
-		return tf.Rate >= 0 && tf.Rate*maxEnergy <= formMaxPrice
+		return t.Rate >= 0 && t.Rate*maxEnergy <= formMaxPrice
 	case PowerLaw:
-		_, ok := powerLawTop(tf, maxEnergy)
+		_, ok := PowerLawOver(t, maxEnergy)
 		return ok
-	case *Tiered:
-		if len(tf.tiers) > formMaxTiers || !(tf.tiers[0].Rate*maxEnergy <= formMaxPrice) {
+	case Tiered:
+		if n := len(t.tiers); n == 0 || n > formMaxTiers || !(t.tiers[0].Rate*maxEnergy <= formMaxPrice) {
 			return false
 		}
-		for _, tr := range tf.tiers {
+		for _, tr := range t.tiers {
 			if !(tr.Rate > 0) || !(tr.UpTo >= 0) {
 				return false
 			}
@@ -233,27 +215,29 @@ func formEnergy(maxEnergy float64) bool {
 	return maxEnergy >= formMinEnergy && maxEnergy <= formMaxEnergy
 }
 
-// powerLawTop reports whether concaveByForm accepts p over [0, maxEnergy]
-// and returns the top price it checks, which is bit for bit
-// p.Price(maxEnergy), so callers need not price the right end again.
-func powerLawTop(p PowerLaw, maxEnergy float64) (top float64, ok bool) {
-	if !formEnergy(maxEnergy) || !(p.Exponent >= formMinExponent && p.Exponent <= 1 && p.Coeff >= 0) {
+// PowerLawOver reports whether t is a PowerLaw inside concaveByForm's
+// analytic region over [0, maxEnergy]: exponent in [2⁻¹⁰, 1],
+// coefficient ≥ 0, maxEnergy in [1e-250, 1e250] and a top price ≤
+// 1e300. There every price up to maxEnergy is finite and, where normal,
+// carries only math.Pow's ~1e-13 relative error. When it does, top is
+// bit for bit t.Price(maxEnergy), so callers need not price the right
+// end again.
+func PowerLawOver(t *Tariff, maxEnergy float64) (top float64, ok bool) {
+	if t.Kind != PowerLaw || !formEnergy(maxEnergy) || !(t.Exponent >= formMinExponent && t.Exponent <= 1 && t.Coeff >= 0) {
 		return 0, false
 	}
 	// Price's own expression (maxEnergy > 0 here).
-	top = p.Coeff * math.Pow(maxEnergy, p.Exponent)
+	top = t.Coeff * math.Pow(maxEnergy, t.Exponent)
 	return top, top <= formMaxPrice
 }
 
 // spotCheck prices tariff on an even grid of samples energies up to
-// maxEnergy and checks it is zero at zero, nondecreasing and
-// midpoint-concave, each within a 1e-9 slack.
-func spotCheck(tariff Tariff, maxEnergy float64, samples int) error {
+// maxEnergy and checks it is nondecreasing and midpoint-concave, each
+// within a 1e-9 slack. Every kind prices 0 at 0, so that end needs no
+// check.
+func spotCheck(tariff *Tariff, maxEnergy float64, samples int) error {
 	if samples < 3 {
 		return errors.New("pricing: need at least 3 samples")
-	}
-	if z := tariff.Price(0); z != 0 {
-		return fmt.Errorf("pricing: Price(0) = %v, want 0", z)
 	}
 	grid := make([]float64, samples)
 	for i := range grid {

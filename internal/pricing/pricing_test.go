@@ -8,7 +8,7 @@ import (
 )
 
 // MustTiered is NewTiered that panics on invalid input.
-func MustTiered(tiers []Tier) *Tiered {
+func MustTiered(tiers []Tier) Tariff {
 	t, err := NewTiered(tiers)
 	if err != nil {
 		panic(err)
@@ -17,7 +17,7 @@ func MustTiered(tiers []Tier) *Tiered {
 }
 
 func TestLinear(t *testing.T) {
-	l := Linear{Rate: 0.5}
+	l := Tariff{Kind: Linear, Rate: 0.5}
 	tests := []struct {
 		energy, want float64
 	}{
@@ -34,7 +34,7 @@ func TestLinear(t *testing.T) {
 }
 
 func TestPowerLaw(t *testing.T) {
-	p := PowerLaw{Coeff: 2, Exponent: 0.5}
+	p := Tariff{Kind: PowerLaw, Coeff: 2, Exponent: 0.5}
 	if got := p.Price(0); got != 0 {
 		t.Errorf("Price(0) = %v", got)
 	}
@@ -43,6 +43,94 @@ func TestPowerLaw(t *testing.T) {
 	}
 	if got := p.Price(100); math.Abs(got-20) > 1e-12 {
 		t.Errorf("Price(100) = %v, want 20", got)
+	}
+}
+
+// The reference prices below are the expressions each kind priced with
+// when every kind was a type of its own; Price must reproduce them bit
+// for bit.
+
+func referenceLinear(rate, energy float64) float64 {
+	if energy <= 0 {
+		return 0
+	}
+	return rate * energy
+}
+
+func referencePowerLaw(coeff, exponent, energy float64) float64 {
+	if energy <= 0 {
+		return 0
+	}
+	return coeff * math.Pow(energy, exponent)
+}
+
+func referenceTiered(tiers []Tier, energy float64) float64 {
+	if energy <= 0 {
+		return 0
+	}
+	var (
+		cost float64
+		prev float64
+	)
+	for _, tr := range tiers {
+		hi := math.Min(energy, tr.UpTo)
+		if hi > prev {
+			cost += (hi - prev) * tr.Rate
+		}
+		if energy <= tr.UpTo {
+			break
+		}
+		prev = tr.UpTo
+	}
+	return cost
+}
+
+// TestPriceMatchesReference compares Price with the reference
+// expressions, bits included, for every kind over edge energies: zero
+// of both signs, negatives, subnormals, 1e±250, the tier bounds and
+// their neighbours, the largest float, ±Inf and NaN.
+func TestPriceMatchesReference(t *testing.T) {
+	energies := []float64{
+		0, math.Copysign(0, -1), -1, -math.MaxFloat64, 5e-324, 1e-310, 1e-250,
+		1e-3, 1, 42.5, math.Nextafter(100, 0), 100, math.Nextafter(100, 200), 250, 1e6,
+		1e250, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	tiers := []Tier{{UpTo: 100, Rate: 2}, {UpTo: 250, Rate: 0.75}, {UpTo: math.Inf(1), Rate: 0.3}}
+	tiered := MustTiered(tiers)
+	for _, e := range energies {
+		type pair struct {
+			name      string
+			got, want float64
+		}
+		pairs := []pair{{"tiered", tiered.Price(e), referenceTiered(tiers, e)}}
+		for _, rate := range []float64{0, 0.12, -1, 1e300} {
+			l := Tariff{Kind: Linear, Rate: rate}
+			pairs = append(pairs, pair{l.Name(), l.Price(e), referenceLinear(rate, e)})
+		}
+		for _, pl := range [][2]float64{{0.33, 0.9}, {2, 1}, {1, 2}, {1e7, 1e-4}, {5e-324, 0.5}} {
+			p := Tariff{Kind: PowerLaw, Coeff: pl[0], Exponent: pl[1]}
+			pairs = append(pairs, pair{p.Name(), p.Price(e), referencePowerLaw(pl[0], pl[1], e)})
+		}
+		for _, c := range pairs {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s at E=%v: Price %v, reference %v", c.name, e, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestNoTariff: the zero Kind prices nothing at or below zero, NaN
+// above it, and names itself.
+func TestNoTariff(t *testing.T) {
+	var none Tariff
+	if got := none.Price(0); got != 0 {
+		t.Errorf("Price(0) = %v, want 0", got)
+	}
+	if got := none.Price(1); !math.IsNaN(got) {
+		t.Errorf("Price(1) = %v, want NaN", got)
+	}
+	if got := none.Name(); got != "no tariff" {
+		t.Errorf("Name() = %q", got)
 	}
 }
 
@@ -114,9 +202,9 @@ func TestMustTieredPanics(t *testing.T) {
 
 func TestValidateAcceptsConcaveTariffs(t *testing.T) {
 	tariffs := []Tariff{
-		Linear{Rate: 0.3},
-		PowerLaw{Coeff: 1.5, Exponent: 0.8},
-		PowerLaw{Coeff: 1, Exponent: 1},
+		Tariff{Kind: Linear, Rate: 0.3},
+		Tariff{Kind: PowerLaw, Coeff: 1.5, Exponent: 0.8},
+		Tariff{Kind: PowerLaw, Coeff: 1, Exponent: 1},
 		MustTiered([]Tier{{UpTo: 50, Rate: 3}, {UpTo: math.Inf(1), Rate: 1}}),
 	}
 	for _, tf := range tariffs {
@@ -126,39 +214,15 @@ func TestValidateAcceptsConcaveTariffs(t *testing.T) {
 	}
 }
 
-type convexTariff struct{}
-
-func (convexTariff) Price(e float64) float64 {
-	if e <= 0 {
-		return 0
-	}
-	return e * e
-}
-func (convexTariff) Name() string { return "convex" }
-
-type decreasingTariff struct{}
-
-func (decreasingTariff) Price(e float64) float64 {
-	if e <= 0 {
-		return 0
-	}
-	return 100 / (1 + e) // decreasing for e > 0... but Price(0)=0 violates too
-}
-func (decreasingTariff) Name() string { return "decreasing" }
-
-type nonzeroAtZeroTariff struct{}
-
-func (nonzeroAtZeroTariff) Price(e float64) float64 { return 5 + e }
-func (nonzeroAtZeroTariff) Name() string            { return "nonzero0" }
-
+// TestValidateRejectsBadTariffs: a convex power law and a decreasing
+// linear tariff fail the grid check, as do too few samples.
 func TestValidateRejectsBadTariffs(t *testing.T) {
 	tests := []struct {
 		name string
 		tf   Tariff
 	}{
-		{"convex", convexTariff{}},
-		{"decreasing", decreasingTariff{}},
-		{"nonzero at zero", nonzeroAtZeroTariff{}},
+		{"convex", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: 2}},
+		{"decreasing", Tariff{Kind: Linear, Rate: -1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -167,7 +231,7 @@ func TestValidateRejectsBadTariffs(t *testing.T) {
 			}
 		})
 	}
-	if err := Validate(Linear{Rate: 1}, 10, 2); err == nil {
+	if err := Validate(Tariff{Kind: Linear, Rate: 1}, 10, 2); err == nil {
 		t.Error("too few samples should error")
 	}
 }
@@ -176,11 +240,11 @@ func TestValidateRejectsBadTariffs(t *testing.T) {
 // Price(a+b) <= Price(a)+Price(b) for concave tariffs with Price(0)=0.
 func TestConcaveTariffsSubadditiveProperty(t *testing.T) {
 	tariffs := []Tariff{
-		PowerLaw{Coeff: 2, Exponent: 0.7},
+		Tariff{Kind: PowerLaw, Coeff: 2, Exponent: 0.7},
 		MustTiered([]Tier{
 			{UpTo: 100, Rate: 2}, {UpTo: 500, Rate: 1.2}, {UpTo: math.Inf(1), Rate: 0.6},
 		}),
-		Linear{Rate: 0.8},
+		Tariff{Kind: Linear, Rate: 0.8},
 	}
 	r := rand.New(rand.NewSource(42))
 	for _, tf := range tariffs {
@@ -209,15 +273,15 @@ func TestConcaveByFormAcceptsServiceTariffs(t *testing.T) {
 		tariff    Tariff
 		maxEnergy float64
 	}{
-		{Linear{Rate: 0.12}, 1.5e5},
-		{PowerLaw{Coeff: 0.33, Exponent: 0.9}, 1.5e5},
-		{PowerLaw{Coeff: 0.2, Exponent: 1}, 1e9},
+		{Tariff{Kind: Linear, Rate: 0.12}, 1.5e5},
+		{Tariff{Kind: PowerLaw, Coeff: 0.33, Exponent: 0.9}, 1.5e5},
+		{Tariff{Kind: PowerLaw, Coeff: 0.2, Exponent: 1}, 1e9},
 		{MustTiered([]Tier{{UpTo: 100, Rate: 2}, {UpTo: math.Inf(1), Rate: 1}}), 1e4},
 	} {
-		if !concaveByForm(tt.tariff, tt.maxEnergy, 64) {
+		if !concaveByForm(&tt.tariff, tt.maxEnergy, 64) {
 			t.Errorf("%s over %v J: not accepted analytically", tt.tariff.Name(), tt.maxEnergy)
 		}
-		if err := spotCheck(tt.tariff, tt.maxEnergy, 64); err != nil {
+		if err := spotCheck(&tt.tariff, tt.maxEnergy, 64); err != nil {
 			t.Errorf("%s over %v J: spot check rejects an analytically accepted tariff: %v", tt.tariff.Name(), tt.maxEnergy, err)
 		}
 	}
@@ -241,13 +305,13 @@ func TestConcaveByFormInsideSpotCheck(t *testing.T) {
 		var tariff Tariff
 		switch k % 3 {
 		case 0:
-			tariff = Linear{Rate: logU(-320, 300) / maxEnergy}
+			tariff = Tariff{Kind: Linear, Rate: logU(-320, 300) / maxEnergy}
 		case 1:
 			exp := 1 - r.Float64()*(1-formMinExponent)
 			if k%7 == 0 {
 				exp = formMinExponent
 			}
-			tariff = PowerLaw{Coeff: logU(-320, 300) / math.Pow(maxEnergy, exp), Exponent: exp}
+			tariff = Tariff{Kind: PowerLaw, Coeff: logU(-320, 300) / math.Pow(maxEnergy, exp), Exponent: exp}
 		default:
 			r0 := logU(-300, 300) / maxEnergy
 			tiers := []Tier{{UpTo: maxEnergy * r.Float64(), Rate: r0}, {UpTo: maxEnergy, Rate: r0 * r.Float64()}, {UpTo: math.Inf(1), Rate: r0 * 1e-3}}
@@ -257,11 +321,11 @@ func TestConcaveByFormInsideSpotCheck(t *testing.T) {
 			}
 			tariff = tr
 		}
-		if !concaveByForm(tariff, maxEnergy, samples) {
+		if !concaveByForm(&tariff, maxEnergy, samples) {
 			continue
 		}
 		accepted++
-		if err := spotCheck(tariff, maxEnergy, samples); err != nil {
+		if err := spotCheck(&tariff, maxEnergy, samples); err != nil {
 			t.Fatalf("%#v over %v J, %d samples: accepted analytically, spot check says %v", tariff, maxEnergy, samples, err)
 		}
 	}

@@ -17,7 +17,7 @@ func fixField() geom.Rect { return geom.Square(300) }
 func fixCharger(id string, x, y float64) core.Charger {
 	return core.Charger{
 		ID: id, Pos: geom.Pt(x, y),
-		Fee: 1, Tariff: pricing.Linear{Rate: 0.1}, Efficiency: 1,
+		Fee: 1, Tariff: pricing.Tariff{Kind: pricing.Linear, Rate: 0.1}, Efficiency: 1,
 	}
 }
 

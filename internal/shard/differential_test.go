@@ -50,7 +50,7 @@ func addCapacities(in *core.Instance) {
 					ID:         fmt.Sprintf("cap-%d", j),
 					Pos:        geom.Pt(cx+off, cy+off),
 					Fee:        4 + float64(j),
-					Tariff:     pricing.Linear{Rate: 0.10 + 0.01*float64(j)},
+					Tariff:     pricing.Tariff{Kind: pricing.Linear, Rate: 0.10 + 0.01*float64(j)},
 					Efficiency: 0.9,
 				}
 				if k == 0 {

@@ -344,7 +344,8 @@ func (c *Coordinator) CollectInstanceDetail() (*core.Instance, []string, error) 
 			ID:  id,
 			Pos: info.Pos,
 			Fee: info.Fee,
-			Tariff: pricing.PowerLaw{
+			Tariff: pricing.Tariff{
+				Kind:     pricing.PowerLaw,
 				Coeff:    info.TariffCoeff,
 				Exponent: info.TariffExponent,
 			},

@@ -213,7 +213,7 @@ func TestChargerAgentBilling(t *testing.T) {
 func TestPowerLawOfRecoversParams(t *testing.T) {
 	ch := core.Charger{
 		ID:         "x",
-		Tariff:     pricing.PowerLaw{Coeff: 0.37, Exponent: 0.82},
+		Tariff:     pricing.Tariff{Kind: pricing.PowerLaw, Coeff: 0.37, Exponent: 0.82},
 		Efficiency: 1,
 	}
 	pl, err := powerLawOf(ch)
@@ -224,7 +224,7 @@ func TestPowerLawOfRecoversParams(t *testing.T) {
 		t.Errorf("recovered %v, %v", pl.Coeff, pl.Exponent)
 	}
 	// Linear tariffs are power laws with exponent 1.
-	ch.Tariff = pricing.Linear{Rate: 0.2}
+	ch.Tariff = pricing.Tariff{Kind: pricing.Linear, Rate: 0.2}
 	pl, err = powerLawOf(ch)
 	if err != nil {
 		t.Fatal(err)
