@@ -898,7 +898,7 @@ func (g *chargerGame) buildChord(j int) {
 	ch := &g.in.Chargers[j]
 	g.chord[j] = chordEnd{}
 	k := 0.0
-	if x := g.chordDemand / ch.Efficiency; !ch.Mobile {
+	if x := g.chordDemand / ch.Efficiency; !ch.Mobile && !g.cm.chordless {
 		if px, ok := pricing.PowerLawOver(&ch.Tariff, x); ok {
 			g.chord[j] = chordEnd{x: x, px: px}
 			if c := (ch.Fee + px) * chordMargin; c >= chordMinCharge {

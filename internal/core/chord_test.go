@@ -117,6 +117,16 @@ func TestChordBoundNeverExceedsShare(t *testing.T) {
 	t.Logf("%d chord bounds checked, %d to empty slots", applied, empty)
 }
 
+// chordlessModel builds in's cost model with the chordless hook set, so
+// neither the model nor any game built on it has a chord or price floor.
+func chordlessModel(t *testing.T, in *Instance) *CostModel {
+	t.Helper()
+	cm := mustCostModel(t, in)
+	cm.chordless = true
+	clear(cm.chord)
+	return cm
+}
+
 // floorlessSolve is ccsgaSolve with every price floor hidden (set to 0,
 // which leaves the moving-cost bound).
 func floorlessSolve(cm *CostModel, opts CCSGAOptions) (*CCSGAResult, *chargerGame, error) {
@@ -326,9 +336,9 @@ func TestPriceFloorOnlyStationaryPDS(t *testing.T) {
 	}
 }
 
-// chordDelta applies one random delta op to twin models: cmA carries the
-// tariffs as drawn, cmB their chordless twins where they have one, so
-// only cmA has those tariffs' chords and price floors. Joins are often
+// chordDelta applies one random delta op to twin models: cmA and cmB
+// carry the same devices and tariffs, but cmB is chordless, so only cmA
+// has chords and price floors. Joins are often
 // big enough to push total demand past the chords' right ends, updates
 // raise a device's demand, and tariff swaps trade a power law for a
 // linear or tiered tariff and back. Demands stay at most maxDemand so every device fits alone.
@@ -339,18 +349,18 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 		total += d.Demand
 	}
 	var tag string
-	var op func(cm *CostModel, hide func(pricing.Tariff) pricing.Tariff) error
+	var op func(cm *CostModel) error
 	switch n := cmA.NumDevices(); {
 	case n > 2 && r.Float64() < 0.2:
 		i := r.Intn(n)
 		tag = fmt.Sprintf("leave %d", i)
-		op = func(cm *CostModel, _ func(pricing.Tariff) pricing.Tariff) error { return cm.RemoveDevice(i) }
+		op = func(cm *CostModel) error { return cm.RemoveDevice(i) }
 	case r.Float64() < 0.3:
 		i := r.Intn(n)
 		d := in.Devices[i]
 		d.Demand = math.Min(d.Demand*(1.2+0.8*r.Float64()), maxDemand)
 		tag = fmt.Sprintf("raise %d to %.0f", i, d.Demand)
-		op = func(cm *CostModel, _ func(pricing.Tariff) pricing.Tariff) error { return cm.UpdateDevice(i, d) }
+		op = func(cm *CostModel) error { return cm.UpdateDevice(i, d) }
 	case r.Float64() < 0.45:
 		j := r.Intn(cmA.NumChargers())
 		var t pricing.Tariff
@@ -366,7 +376,7 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 			})
 		}
 		tag = fmt.Sprintf("tariff %d %s", j, t.Name())
-		op = func(cm *CostModel, hide func(pricing.Tariff) pricing.Tariff) error { return cm.SetTariff(j, hide(t)) }
+		op = func(cm *CostModel) error { return cm.SetTariff(j, t) }
 	default:
 		d := Device{
 			ID:       fmt.Sprintf("join-%03d", step),
@@ -380,13 +390,9 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 			d.Demand = math.Min(total*(0.3+0.7*r.Float64()), maxDemand)
 		}
 		tag = fmt.Sprintf("join %.0f", d.Demand)
-		op = func(cm *CostModel, _ func(pricing.Tariff) pricing.Tariff) error { return cm.AddDevice(d) }
+		op = func(cm *CostModel) error { return cm.AddDevice(d) }
 	}
-	errA := op(cmA, func(t pricing.Tariff) pricing.Tariff { return t })
-	errB := op(cmB, func(t pricing.Tariff) pricing.Tariff {
-		tw, _ := chordless(t)
-		return tw
-	})
+	errA, errB := op(cmA), op(cmB)
 	if (errA == nil) != (errB == nil) {
 		return tag, fmt.Errorf("twins disagree: %v vs %v", errA, errB)
 	}
@@ -398,9 +404,8 @@ func chordDelta(r *rand.Rand, cmA, cmB *CostModel, step int, maxDemand float64) 
 // chords' right ends, raises demands and swaps tariffs between power law
 // and linear or tiered. After every delta and every repair, every chord
 // bound and price floor must be sound and every memo entry exact or, if a
-// bound entry, at most the share. A twin whose linear, tiered and
-// exponent-1 tariffs are their chordless twins, so it has none of their
-// chords or price floors, must return deeply equal results at every
+// bound entry, at most the share. A chordless twin model, with no chords
+// or price floors at all, must return deeply equal results at every
 // step, with the default frontier cap and with the cap lifted to the
 // whole population.
 func TestChordMemoAcrossLifecycle(t *testing.T) {
@@ -412,20 +417,17 @@ func TestChordMemoAcrossLifecycle(t *testing.T) {
 			for j := range in.Chargers {
 				in.Chargers[j].Tariff = chordTariff(r)
 			}
-			hidden := cloneInstance(in)
-			for j := range hidden.Chargers {
-				hidden.Chargers[j].Tariff, _ = chordless(hidden.Chargers[j].Tariff)
-			}
 			maxDemand := math.Inf(1)
 			if capacitated {
 				maxDemand = 400 // fits alone at any capacity warmInstance draws
 			}
-			cmA, cmB := mustCostModel(t, in), mustCostModel(t, hidden)
+			cmA, cmB := mustCostModel(t, in), chordlessModel(t, cloneInstance(in))
 			wsA, wsB := NewWarmStart(), NewWarmStart()
 			rsA, rsB := NewRepairState(), NewRepairState()
 			rsA.frontierFrac, rsB.frontierFrac = frac, frac
 			sched := CCSGAScheduler{}
-			solveTwins := func(tag string) (repaired bool) {
+			var bounds, resized, repaired, curved int
+			solveTwins := func(tag string) bool {
 				t.Helper()
 				a, err := sched.ScheduleRepair(cmA, wsA, rsA)
 				if err != nil {
@@ -438,10 +440,18 @@ func TestChordMemoAcrossLifecycle(t *testing.T) {
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("%s %s: result %+v, twin without chords %+v", name, tag, a, b)
 				}
+				if slices.ContainsFunc(rsB.game.chord, func(c chordEnd) bool { return c.x != 0 }) ||
+					slices.ContainsFunc(rsB.game.floor, func(k float64) bool { return k != 0 }) {
+					t.Fatalf("%s %s: chordless twin built a chord or price floor", name, tag)
+				}
+				for j, c := range rsA.game.chord {
+					if tf := cmA.Instance().Chargers[j].Tariff; c.x != 0 && tf.Kind == pricing.PowerLaw && tf.Exponent != 1 {
+						curved++
+					}
+				}
 				return a.Repaired
 			}
 			solveTwins("prime")
-			var bounds, resized, repaired int
 			for step := 0; step < 40; step++ {
 				sized := rsA.game.chordDemand
 				tag, err := chordDelta(r, cmA, cmB, step, maxDemand)
@@ -464,12 +474,12 @@ func TestChordMemoAcrossLifecycle(t *testing.T) {
 				requireFloorSound(t, rsA.game, name+" solved "+tag)
 				bounds += requireMemoExact(t, rsA.game, name+" solved "+tag)
 			}
-			if bounds == 0 || resized == 0 || repaired == 0 {
-				t.Errorf("%s: %d bound entries checked, chords resized %d times, %d repairs; want all > 0",
-					name, bounds, resized, repaired)
+			if bounds == 0 || resized == 0 || repaired == 0 || curved == 0 {
+				t.Errorf("%s: %d bound entries checked, chords resized %d times, %d repairs, %d curved chords; want all > 0",
+					name, bounds, resized, repaired, curved)
 			}
-			t.Logf("%s: %d bound entries checked, chords resized %d times, %d of 40 deltas repaired",
-				name, bounds, resized, repaired)
+			t.Logf("%s: %d bound entries checked, chords resized %d times, %d of 40 deltas repaired, %d curved chords solved against the twin",
+				name, bounds, resized, repaired, curved)
 		}
 	}
 }

@@ -254,6 +254,10 @@ type CostModel struct {
 	// the delta ops.
 	chord []pricing.Chord
 	bound []float64
+	// chordless, a test hook, keeps every chord of the model and of the
+	// games built on it zero, and every price floor with them, so both
+	// play as they would were no tariff in the analytic region.
+	chordless bool
 	// listener, when non-nil, observes successful delta mutations so
 	// incremental solver state (RepairState) can track which session
 	// slots each patch dirtied. At most one listener; attaching a new one
@@ -607,7 +611,10 @@ func (cm *CostModel) SetTariff(j int, t pricing.Tariff) error {
 	}
 	c.Tariff = t
 	lo, hi := demandRange(cm.inst.Devices)
-	cm.chord[j] = pricing.NewChord(t, c.Efficiency, lo, hi)
+	cm.chord[j] = pricing.Chord{}
+	if !cm.chordless {
+		cm.chord[j] = pricing.NewChord(t, c.Efficiency, lo, hi)
+	}
 	for i := range cm.inst.Devices {
 		cm.standalone[i], cm.standaloneCharger[i] = cm.standaloneFor(cm.inst.Devices[i], cm.move[i])
 	}

@@ -134,12 +134,19 @@ func (t *Tariff) Tiers() []Tier { return slices.Clone(t.tiers) }
 // pass. It is used by tests and by instance validation to catch
 // tariffs that would silently break CCSA's guarantees.
 //
-// A tariff inside its kind's analytic region is first accepted
-// analytically (see concaveByForm); only a tariff that check does not
-// accept is priced on the grid. The analytic region lies inside the
-// region the grid check accepts, so the verdict and any error are
-// exactly the grid check's.
+// A tariff of no known kind, or a Tiered one with no tiers (which only a
+// literal, not NewTiered, can build), is rejected outright. A tariff
+// inside its kind's analytic region is then accepted analytically (see
+// concaveByForm); only a tariff that check does not accept is priced on
+// the grid. The analytic region lies inside the region the grid check
+// accepts, so the verdict and any error are exactly the grid check's.
 func Validate(tariff Tariff, maxEnergy float64, samples int) error {
+	switch {
+	case tariff.Kind == 0 || tariff.Kind > Tiered:
+		return fmt.Errorf("pricing: unknown tariff kind %d", tariff.Kind)
+	case tariff.Kind == Tiered && len(tariff.tiers) == 0:
+		return errors.New("pricing: tiered tariff has no tiers")
+	}
 	if samples >= 3 && concaveByForm(&tariff, maxEnergy, samples) {
 		return nil
 	}

@@ -223,6 +223,9 @@ func TestValidateRejectsBadTariffs(t *testing.T) {
 	}{
 		{"convex", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: 2}},
 		{"decreasing", Tariff{Kind: Linear, Rate: -1}},
+		{"no kind", Tariff{}},
+		{"unknown kind", Tariff{Kind: Tiered + 1}},
+		{"tiered without tiers", Tariff{Kind: Tiered}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
