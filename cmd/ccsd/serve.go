@@ -112,13 +112,6 @@ func (r solveRequest) hasInstance() bool {
 	return r.decoded != nil || len(r.Instance) > 0
 }
 
-// stateless reports whether the request is replayable from the raw byte
-// cache: session verbs mutate server state, so only plain solves and
-// stats queries qualify (and stats are excluded separately at Put).
-func (r solveRequest) stateless() bool {
-	return !r.Register && r.Session == 0
-}
-
 // coalitionJSON reports one charging session by agent IDs.
 type coalitionJSON struct {
 	Charger string   `json:"charger"`
@@ -172,6 +165,11 @@ type solveResponse struct {
 	Repaired bool   `json:"repaired,omitempty"`
 	Closed   bool   `json:"closed,omitempty"`
 	Err      string `json:"error,omitempty"`
+
+	// line is a stateless solve's reply, already rendered, and entry its
+	// raw-tier entry (nil with caching off); respond sends line instead
+	// of rendering the fields above.
+	line, entry []byte
 }
 
 // serveMetrics holds the service's obs instruments. Every field is
@@ -179,8 +177,8 @@ type solveResponse struct {
 // struct is all-nil and updates cost one nil check each.
 type serveMetrics struct {
 	// solveSec is the per-scheduler service latency histogram over the
-	// decode+solve path (raw-tier byte replays are too fast to matter
-	// and skip it).
+	// decode+solve path, the render of a stateless solve's reply included
+	// (raw-tier byte replays are too fast to matter and skip it).
 	solveSec map[string]*obs.Histogram
 	// deltaSolveSec is the per-scheduler latency histogram over the
 	// session delta path (apply patches + warm re-solve).
@@ -229,9 +227,9 @@ type serveOpts struct {
 
 // solveServer handles solve requests; safe for concurrent connections.
 // Caching is two-tier: raw answers rendered responses for byte-identical
-// repeat requests without decoding anything, and cache memoizes solutions
-// under the canonical instance fingerprint (catching re-encoded
-// duplicates and collapsing concurrent solves).
+// repeat requests without decoding anything, and cache holds the same
+// rendered replies under the canonical instance fingerprint (catching
+// re-encoded duplicates and collapsing concurrent solves).
 type solveServer struct {
 	// Server runs the connection lifecycle (internal/netserve): accept,
 	// protocol sniff, line loop, read-failure accounting and drain.
@@ -504,44 +502,65 @@ func (s *solveServer) answer(req solveRequest) solveResponse {
 		// arrays go back to the scanner for the next request.
 		defer gen.ReleaseInstance(in)
 	}
-	var (
-		plan   *core.Schedule
-		cost   float64
-		cached bool
-	)
-	if s.cache != nil {
-		key, err := instcache.KeyFor(in, name, options)
+	// The reply is rendered once, by whichever request runs the solve,
+	// and its raw-tier entry is what the solution tier stores: a hit or a
+	// collapsed waiter answers with the entry as it is, and answerLine
+	// files the same slice under the raw key, so one distinct solve is
+	// held once. An error is never stored.
+	rb := req.reply
+	if rb == nil {
+		rb = newReplyBuf()
+	}
+	var out []byte
+	render := func() ([]byte, error) {
+		plan, cost, err := solve()
 		if err != nil {
-			return solveResponse{Err: err.Error()}
+			return nil, err
 		}
-		plan, cost, cached, err = s.cache.Do(key, solve)
+		// A valid instance can still price beyond float64 (fees near
+		// MaxFloat64 sum to +Inf); such a cost has no JSON rendering.
+		if math.IsInf(cost, 0) || math.IsNaN(cost) {
+			return nil, fmt.Errorf("total cost %v is not finite", cost)
+		}
+		out, err = rb.render(solveResponse{
+			Cost:       cost,
+			Sessions:   len(plan.Coalitions),
+			Coalitions: rb.coalitionsJSON(in, plan),
+		})
 		if err != nil {
+			return nil, fmt.Errorf("render response: %w", err)
+		}
+		if s.cache == nil {
+			return nil, nil
+		}
+		return replayEntry(out), nil
+	}
+	if s.cache == nil {
+		if _, err := render(); err != nil {
 			return solveResponse{Err: err.Error()}
 		}
-	} else {
-		if plan, cost, err = solve(); err != nil {
-			return solveResponse{Err: err.Error()}
-		}
+		return solveResponse{line: out}
 	}
-	// A valid instance can still price beyond float64 (fees near
-	// MaxFloat64 sum to +Inf); such a cost has no JSON rendering.
-	if math.IsInf(cost, 0) || math.IsNaN(cost) {
-		return solveResponse{Err: fmt.Sprintf("total cost %v is not finite", cost)}
+	key, err := instcache.KeyFor(in, name, options)
+	if err != nil {
+		return solveResponse{Err: err.Error()}
 	}
-	return solveResponse{
-		Cost:       cost,
-		Sessions:   len(plan.Coalitions),
-		Coalitions: req.reply.coalitionsJSON(in, plan),
-		Cached:     cached,
+	entry, cached, err := s.cache.Do(key, render)
+	if err != nil {
+		return solveResponse{Err: err.Error()}
 	}
+	if cached {
+		out = entry
+	}
+	return solveResponse{Cached: cached, line: out, entry: entry}
 }
 
 // answerLine answers one request line of a JSON connection in rb's
 // memory. First tier: a byte-identical repeat of a stateless solve
 // replays its rendered reply from the raw tier with no decoding or
 // solving at all. Any other line is parsed and answered, and a
-// replayable reply's entry goes into the raw tier (which copies it). The
-// reply is valid until rb's next use.
+// replayable reply's entry goes into the raw tier, which keeps the very
+// slice the solution tier holds. The reply is valid until rb's next use.
 func (s *solveServer) answerLine(rb *replyBuf, line []byte) []byte {
 	var sum [32]byte
 	if s.raw != nil {
@@ -561,20 +580,16 @@ func (s *solveServer) answerLine(rb *replyBuf, line []byte) []byte {
 }
 
 // respond answers one parsed request line (parseErr is the line's decode
-// error) and renders the reply once, in req.reply's memory (fresh memory
-// when it is nil). out is the reply line; replay is the raw-tier entry
-// for it, or nil; both stay valid until the connection's next request.
-// Only successful stateless solves replay (as cache hits); stats
-// queries, errors, and session verbs (whose responses depend on server
-// state, not just the request bytes) are never byte-cached — which also
-// keeps answerLine's pre-decode Get from ever replaying them. A reply that
+// error) in req.reply's memory (fresh memory when it is nil). out is the
+// reply line, valid until the connection's next request; replay is the
+// raw-tier entry for it, or nil, and is never written again. Only
+// successful stateless solves replay (as cache hits); stats queries,
+// errors, and session verbs (whose responses depend on server state, not
+// just the request bytes) are never byte-cached — which also keeps
+// answerLine's pre-decode Get from ever replaying them. A reply that
 // cannot be rendered becomes an error line and counts as a failure, so
 // the client never sees a silent hangup.
 func (s *solveServer) respond(req solveRequest, parseErr error) (out, replay []byte) {
-	rb := req.reply
-	if rb == nil {
-		rb = newReplyBuf()
-	}
 	var resp solveResponse
 	if parseErr != nil {
 		s.requests.Add(1)
@@ -583,27 +598,28 @@ func (s *solveServer) respond(req solveRequest, parseErr error) (out, replay []b
 	} else {
 		resp = s.handle(req)
 	}
+	if resp.line != nil {
+		return resp.line, resp.entry
+	}
+	rb := req.reply
+	if rb == nil {
+		rb = newReplyBuf()
+	}
 	out, err := rb.render(resp)
 	if err != nil {
 		s.failures.Add(1)
 		out, _ = rb.render(solveResponse{Err: "render response: " + err.Error()})
-		return out, nil
 	}
-	if s.raw != nil && resp.Err == "" && resp.Stats == nil && req.stateless() {
-		rb.replay = appendReplay(rb.replay[:0], out, resp.Cached)
-		replay = rb.replay
-	}
-	return out, replay
+	return out, nil
 }
 
 // replyBuf is the memory one JSON connection builds and renders its
-// replies in, reused from request to request: the reply line, its
-// raw-tier replay entry, and the ID lists of a solve reply's coalitions.
-// What it holds for one request is valid until the next.
+// replies in, reused from request to request: the reply line and the ID
+// lists of a solve reply's coalitions. What it holds for one request is
+// valid until the next.
 type replyBuf struct {
 	line       bytes.Buffer
 	enc        *json.Encoder // renders into line
-	replay     []byte
 	coalitions []coalitionJSON
 	ids        []string
 }
@@ -624,17 +640,10 @@ func (b *replyBuf) render(resp solveResponse) ([]byte, error) {
 	return b.line.Bytes(), nil
 }
 
-// coalitionsJSON lists plan's sessions by agent IDs, on b's arrays (fresh
-// ones when b is nil). Each coalition's device list is a capped slice of
-// one array of IDs.
+// coalitionsJSON lists plan's sessions by agent IDs, on b's arrays. Each
+// coalition's device list is a capped slice of one array of IDs.
 func (b *replyBuf) coalitionsJSON(in *core.Instance, plan *core.Schedule) []coalitionJSON {
-	var (
-		cs  []coalitionJSON
-		ids []string
-	)
-	if b != nil {
-		cs, ids = b.coalitions[:0], b.ids[:0]
-	}
+	cs, ids := b.coalitions[:0], b.ids[:0]
 	n := 0
 	for _, c := range plan.Coalitions {
 		n += len(c.Members)
@@ -651,30 +660,25 @@ func (b *replyBuf) coalitionsJSON(in *core.Instance, plan *core.Schedule) []coal
 		}
 		cs = append(cs, cj)
 	}
-	if b != nil {
-		b.coalitions, b.ids = cs, ids
-	}
+	b.coalitions, b.ids = cs, ids
 	return cs
 }
 
-// appendReplay appends to dst the raw-tier entry for out, a rendered
-// stateless solve reply: the bytes json.Marshal gives the same response
-// with Cached set. Cached is the last field a stateless solve reply can
-// carry, so it is spliced in before the closing brace instead of
-// rendering the reply a second time; a reply that is already cached is
-// its own replay. The entry never shares out's memory.
-func appendReplay(dst, out []byte, cached bool) []byte {
-	if cached {
-		return append(dst, out...)
-	}
+// replayEntry returns the raw-tier entry for out, a rendered uncached
+// stateless solve reply, in fresh memory of its exact size: the bytes
+// json.Marshal gives the same response with Cached set. Cached is the
+// last field a stateless solve reply can carry, so it is spliced in
+// before the closing brace instead of rendering the reply a second time.
+func replayEntry(out []byte) []byte {
 	const field = `"cached":true`
 	body := out[:len(out)-2] // without "}\n"
-	dst = append(dst, body...)
+	entry := make([]byte, 0, len(out)+1+len(field))
+	entry = append(entry, body...)
 	if len(body) > 1 {
-		dst = append(dst, ',')
+		entry = append(entry, ',')
 	}
-	dst = append(dst, field...)
-	return append(dst, '}', '\n')
+	entry = append(entry, field...)
+	return append(entry, '}', '\n')
 }
 
 // summary renders the service counters for the shutdown log line.

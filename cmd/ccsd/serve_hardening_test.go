@@ -511,7 +511,8 @@ func TestServeHardeningFlagValidation(t *testing.T) {
 // cost is +Inf. Validate accepts the instance, and before the fix the
 // reply failed to render, the connection closed with no reply at all
 // and no failure was counted. Now the client gets an error line, the
-// failure is counted, and the connection keeps serving.
+// failure is counted, and the connection keeps serving. The error is
+// never cached: a repeat solves again and counts a solution-tier miss.
 func TestServeNonFiniteCostErrorLine(t *testing.T) {
 	srv, dial := startServerOpts(t, serveOpts{cacheSize: 8, maxSessions: 4})
 	conn := dial()
@@ -524,7 +525,8 @@ func TestServeNonFiniteCostErrorLine(t *testing.T) {
 	failures := uint64(0)
 	for _, scheduler := range []string{"CCSGA", "CCSA", "NONCOOP"} {
 		line := []byte(fmt.Sprintf(`{"instance":%s,"scheduler":%q}`+"\n", inst, scheduler))
-		for i := 0; i < 2; i++ { // fresh solve, then the solution-tier hit
+		for i := 0; i < 2; i++ { // fresh solve, then a second solve
+			before := srv.cache.Stats()
 			resp := roundTrip(t, conn, br, line)
 			if !strings.Contains(resp.Err, "not finite") {
 				t.Fatalf("%s round %d: reply %+v, want a non-finite cost error", scheduler, i, resp)
@@ -532,6 +534,9 @@ func TestServeNonFiniteCostErrorLine(t *testing.T) {
 			failures++
 			if got := srv.failures.Load(); got != failures {
 				t.Fatalf("%s round %d: failures = %d, want %d", scheduler, i, got, failures)
+			}
+			if st := srv.cache.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits || st.Size != 0 {
+				t.Fatalf("%s round %d: solution tier %+v after %+v, want one more miss and nothing stored", scheduler, i, st, before)
 			}
 		}
 	}
@@ -550,9 +555,9 @@ func TestServeNonFiniteCostErrorLine(t *testing.T) {
 }
 
 // TestReplayLineMatchesMarshal pins the raw-tier splice to the second
-// render it replaces: for every reply shape, splicing "cached":true into
-// the rendered bytes must give json.Marshal of the same reply with
-// Cached set, byte for byte.
+// render it replaces: for every uncached reply shape, splicing
+// "cached":true into the rendered bytes must give json.Marshal of the
+// same reply with Cached set, byte for byte.
 func TestReplayLineMatchesMarshal(t *testing.T) {
 	srv, err := newSolveServer(serveOpts{cacheSize: 4})
 	if err != nil {
@@ -563,25 +568,29 @@ func TestReplayLineMatchesMarshal(t *testing.T) {
 		{Cost: 1.5},
 		{Sessions: 1},
 		{Cost: 12.25, Sessions: 1, Coalitions: []coalitionJSON{{Charger: "c0", Devices: []string{"d0"}}}},
-		{Cost: 3, Cached: true},
 		{Coalitions: []coalitionJSON{{Charger: "<&>", Devices: []string{" ", `"`}}}},
 	}
 	for _, scheduler := range schedulerNames {
-		line := solveLine(t, serveInstance(8, 0), scheduler)
-		for i := 0; i < 2; i++ { // fresh, then a solution-tier hit
-			req, err := parseLine(bytes.TrimSuffix(line, []byte("\n")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			replies = append(replies, srv.handle(req))
+		req, err := parseLine(bytes.TrimSuffix(solveLine(t, serveInstance(8, 0), scheduler), []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
 		}
+		solved := srv.handle(req)
+		var resp solveResponse
+		if err := json.Unmarshal(solved.line, &resp); err != nil || resp.Cached {
+			t.Fatalf("%s: reply %s (%v), want a fresh solve", scheduler, solved.line, err)
+		}
+		if again, err := renderLine(resp); err != nil || !bytes.Equal(again, solved.line) {
+			t.Fatalf("%s: reply %s does not render back to itself: %s (%v)", scheduler, solved.line, again, err)
+		}
+		replies = append(replies, resp)
 	}
 	for _, resp := range replies {
 		out, err := renderLine(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := replayLine(out, resp.Cached)
+		got := replayEntry(out)
 		resp.Cached = true
 		want, err := json.Marshal(resp)
 		if err != nil {

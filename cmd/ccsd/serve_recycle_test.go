@@ -309,17 +309,18 @@ func coldServeLines(t testing.TB, n int) [][]byte {
 }
 
 // Per-request allocation ceilings for the stateless cold path; before it
-// recycled its memory a request cost about 350 allocations and 122 KB.
+// recycled its memory a request cost about 350 allocations and 122 KB,
+// and before both tiers shared one stored reply, 17 and 8 KB.
 const (
-	maxColdAllocs = 20
-	maxColdBytes  = 24 << 10
+	maxColdAllocs = 16
+	maxColdBytes  = 7 << 10
 )
 
 // TestServeColdPathAllocs pins what one stateless cold request allocates
 // once both cache tiers are full at their default 1024 entries, over
 // distinct LargeField(200, 20) lines: only what outlives the request —
-// the raw-tier replay entry, the solution-tier schedule and the caller's
-// copy of it, and the instance's ID string — and a few small objects.
+// the one stored reply both tiers share, the entries that index it, and
+// the instance's ID strings — and a few small objects.
 func TestServeColdPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -359,15 +360,18 @@ func TestServeColdPathAllocs(t *testing.T) {
 // BenchmarkServeColdLargeField measures stateless cold solves over
 // loopback: distinct LargeField(200, 20) CCSGA lines, caches on, cycling
 // through more lines than the tiers hold so every request misses both —
-// the solve-cold benchmark workload on one connection. With -benchmem
-// its allocations per op are the server's per-request allocations.
+// the solve-cold benchmark workload on one connection. The tiers are
+// filled before the clock starts, and the heap they keep per cached solve
+// is reported as B-kept/solve. With -benchmem its allocations per op are
+// the server's per-request allocations.
 func BenchmarkServeColdLargeField(b *testing.B) {
 	const distinct = 1100 // more than the 1024-entry tiers hold
-	lines := coldServeLines(b, min(b.N, distinct))
+	lines := coldServeLines(b, distinct)
 	srv, err := newSolveServer(serveOpts{cacheSize: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
+	kept := heapPerCachedSolve(b, srv, lines)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -394,4 +398,5 @@ func BenchmarkServeColdLargeField(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+	b.ReportMetric(kept, "B-kept/solve")
 }

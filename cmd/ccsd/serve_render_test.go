@@ -5,9 +5,3 @@ package main
 func renderLine(resp solveResponse) ([]byte, error) {
 	return newReplyBuf().render(resp)
 }
-
-// replayLine builds the raw-tier entry for a rendered stateless solve
-// reply in fresh memory.
-func replayLine(out []byte, cached bool) []byte {
-	return appendReplay(nil, out, cached)
-}

@@ -957,6 +957,49 @@ func TestServeBinaryErrors(t *testing.T) {
 	}
 }
 
+// TestServeBinaryNonFiniteTariff: the binary protocol carries tariff
+// parameters as raw float bits, so a delta can re-tariff a charger with a
+// NaN or infinite coefficient or rate (a register frame's instance is
+// JSON, which has no such numbers). Each is answered with TError and
+// counted as a failure, and the session keeps its tariffs and answers
+// the next valid delta.
+func TestServeBinaryNonFiniteTariff(t *testing.T) {
+	srv, dial := startServerOpts(t, serveOpts{cacheSize: 4, maxSessions: 4})
+	wc := newWireClient(dial())
+	shadow := sessionInstance(6, false)
+	reg, err := wc.register(shadow, "CCSGA")
+	if err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	for _, dto := range []gen.TariffDTO{
+		{Kind: "powerlaw", Coeff: math.NaN(), Exponent: 0.85},
+		{Kind: "powerlaw", Coeff: 0.25, Exponent: math.NaN()},
+		{Kind: "linear", Rate: math.NaN()},
+		{Kind: "linear", Rate: math.Inf(1)},
+		{Kind: "tiered", Tiers: []gen.TierDTO{{UpTo: "200", Rate: math.Inf(1)}, {UpTo: "inf", Rate: 0.02}}},
+	} {
+		before := srv.failures.Load()
+		_, err := wc.delta(reg.session, []sessionDelta{{Op: opTariff, Charger: "ch-1", Tariff: &dto}})
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%+v: delta error %v, want a non-finite parameter error", dto, err)
+		}
+		if got := srv.failures.Load(); got != before+1 {
+			t.Errorf("%+v: failures = %d, want %d", dto, got, before+1)
+		}
+	}
+	op := sessionDelta{Op: opDemand, ID: "dev-000", Demand: 250}
+	if err := applyShadow(shadow, op); err != nil {
+		t.Fatal(err)
+	}
+	got, err := wc.delta(reg.session, []sessionDelta{op})
+	if err != nil {
+		t.Fatalf("valid delta after the rejected ones: %v", err)
+	}
+	if _, ok := verifySessionSolve(shadow, got, t.Errorf); !ok {
+		t.Fatal("delta solve after the rejected tariffs failed verification")
+	}
+}
+
 // TestServeBinaryIdleTimeout pins the reaper on the binary path.
 func TestServeBinaryIdleTimeout(t *testing.T) {
 	testutil.CheckGoroutines(t, "cmd/ccsd", "repro/internal/netserve")

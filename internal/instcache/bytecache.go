@@ -1,7 +1,6 @@
 package instcache
 
 import (
-	"container/list"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -20,18 +19,7 @@ type ByteCache struct {
 	// takes its tag over the request line (see Key).
 	mac cipher.AEAD
 
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	entries   map[[32]byte]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type byteEntry struct {
-	key [32]byte
-	val []byte
+	lru[[32]byte]
 }
 
 // NewBytes builds a byte cache bounded to capacity entries (>= 1), with
@@ -39,8 +27,9 @@ type byteEntry struct {
 // when the runtime refuses GCM with a fixed nonce, as it does under
 // GODEBUG=fips140=only; there is no fallback key.
 func NewBytes(capacity int) (*ByteCache, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("instcache: capacity %d < 1", capacity)
+	c := new(ByteCache)
+	if err := c.init(capacity); err != nil {
+		return nil, err
 	}
 	var k [16]byte
 	if _, err := rand.Read(k[:]); err != nil {
@@ -50,16 +39,10 @@ func NewBytes(capacity int) (*ByteCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("instcache: raw-tier key: %w", err)
 	}
-	mac, err := cipher.NewGCM(block)
-	if err != nil {
+	if c.mac, err = cipher.NewGCM(block); err != nil {
 		return nil, fmt.Errorf("instcache: raw-tier key: %w", err)
 	}
-	return &ByteCache{
-		mac:      mac,
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[[32]byte]*list.Element),
-	}, nil
+	return c, nil
 }
 
 // keyNonce is the one nonce every Key call uses. Key encrypts nothing, so
@@ -94,34 +77,16 @@ func (c *ByteCache) Key(line []byte) [32]byte {
 func (c *ByteCache) Get(key [32]byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*byteEntry).val, true
+	return c.get(key)
 }
 
-// Put stores a private copy of val under key, evicting the least recently
-// used entry when full.
+// Put stores val under key, evicting the least recently used entry when
+// full. The cache keeps val itself, not a copy, and hands it out on every
+// hit: the caller must never write val again.
 func (c *ByteCache) Put(key [32]byte, val []byte) {
-	cp := append([]byte(nil), val...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*byteEntry).val = cp
-		return
-	}
-	for c.ll.Len() >= c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*byteEntry).key)
-		c.evictions++
-	}
-	c.entries[key] = c.ll.PushFront(&byteEntry{key: key, val: cp})
+	c.put(key, val)
 }
 
 // Stats snapshots the counters (Collapsed is always zero: the byte tier
@@ -130,11 +95,5 @@ func (c *ByteCache) Put(key [32]byte, val []byte) {
 func (c *ByteCache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Size:      c.ll.Len(),
-		Capacity:  c.capacity,
-	}
+	return c.stats()
 }

@@ -38,12 +38,11 @@ func TestByteCacheGetPutEvict(t *testing.T) {
 	if st.Size != 2 || st.Evictions != 1 || st.Hits != 2 || st.Misses != 2 {
 		t.Errorf("stats %+v", st)
 	}
-	// Put copies its input; later mutation must not corrupt the entry.
+	// Put keeps the slice it is given, and Get hands that slice out.
 	v := []byte("mut")
 	c.Put(k("m"), v)
-	v[0] = 'X'
-	if got, _ := c.Get(k("m")); string(got) != "mut" {
-		t.Errorf("stored value mutated to %q", got)
+	if got, _ := c.Get(k("m")); string(got) != "mut" || &got[0] != &v[0] {
+		t.Errorf("stored value %q is not the slice Put was given", got)
 	}
 	// Overwriting a key replaces the value without growing the cache.
 	c.Put(k("m"), []byte("new"))
@@ -237,7 +236,7 @@ func TestByteCacheKeyConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestByteCacheKeyAllocs pins Key at zero allocations.
+// TestByteCacheKeyAllocs pins Key, and a Get hit, at zero allocations.
 func TestByteCacheKeyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool entries at random")
@@ -248,7 +247,11 @@ func TestByteCacheKeyAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { sink = c.Key(line) }); n != 0 {
 		t.Errorf("Key allocates %v objects per call, want 0", n)
 	}
-	_ = sink
+	c.Put(sink, line)
+	var got []byte
+	if n := testing.AllocsPerRun(200, func() { got, _ = c.Get(sink) }); n != 0 || len(got) != len(line) {
+		t.Errorf("a Get hit allocates %v objects per call and returns %d bytes, want 0 and %d", n, len(got), len(line))
+	}
 }
 
 // TestNewBytesFIPSOnly: in FIPS 140-only mode the runtime refuses GCM

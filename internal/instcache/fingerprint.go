@@ -1,9 +1,10 @@
-// Package instcache memoizes scheduler solutions keyed by a canonical
-// instance fingerprint, so a service front end (cmd/ccsd's serve mode) can
-// answer repeated solve requests without re-running coalition formation.
-// The cache is a bounded LRU with single-flight collapsing: concurrent
-// requests for the same (instance, scheduler, options) triple share one
-// solve instead of racing duplicates.
+// Package instcache memoizes rendered solve replies, keyed by a canonical
+// instance fingerprint (Cache) or by the raw request bytes (ByteCache),
+// so a service front end (cmd/ccsd's serve mode) can answer repeated
+// solve requests without re-running coalition formation. Both are
+// bounded LRUs of byte values; Cache adds single-flight collapsing:
+// concurrent requests for the same (instance, scheduler, options) triple
+// share one solve instead of racing duplicates.
 package instcache
 
 import (

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
@@ -25,154 +23,150 @@ type Stats struct {
 	Capacity int
 }
 
-type entry struct {
-	key   Key
-	sched *core.Schedule
-	cost  float64
-}
-
-// flight is one in-progress solve; waiters block on done and then read the
-// result fields (written once, before done is released).
-type flight struct {
-	done  sync.WaitGroup
-	sched *core.Schedule
-	cost  float64
-	err   error
-}
-
-// Cache is a bounded, thread-safe LRU of scheduler solutions with
-// single-flight collapsing of concurrent duplicate solves. Errors are
-// never cached: a failed solve leaves the key absent so the next request
-// retries. Returned schedules are private copies — callers may mutate
-// them freely.
-type Cache struct {
+// lru is the bounded LRU of byte values both tiers keep: a map into a
+// recency list whose front is the most recently used entry. It locks
+// nothing itself; its owner holds mu around every call. Values are
+// stored and handed out as they are, never copied.
+type lru[K comparable] struct {
 	mu        sync.Mutex
 	capacity  int
-	ll        *list.List // front = most recently used
-	entries   map[Key]*list.Element
-	inflight  map[Key]*flight
+	ll        list.List
+	entries   map[K]*list.Element
 	hits      uint64
 	misses    uint64
-	collapsed uint64
 	evictions uint64
 }
 
-// New builds a cache bounded to capacity entries (>= 1).
-func New(capacity int) (*Cache, error) {
+type lruEntry[K comparable] struct {
+	key K
+	val []byte
+}
+
+// init bounds c to capacity entries (>= 1).
+func (c *lru[K]) init(capacity int) error {
 	if capacity < 1 {
-		return nil, fmt.Errorf("instcache: capacity %d < 1", capacity)
+		return fmt.Errorf("instcache: capacity %d < 1", capacity)
 	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		entries:  make(map[Key]*list.Element),
-		inflight: make(map[Key]*flight),
-	}, nil
+	c.capacity = capacity
+	c.entries = make(map[K]*list.Element)
+	return nil
 }
 
-// Do returns the cached solution for key, or runs solve to produce (and
-// cache) it. The cached return reports whether the solution came from the
-// cache or a collapsed in-flight solve rather than this call's own solve.
-// Concurrent calls with the same key share a single solve; each caller
-// receives its own copy of the schedule. The schedule solve returns is
-// kept as the cache entry, so solve must not retain it.
-func (c *Cache) Do(key Key, solve func() (*core.Schedule, float64, error)) (*core.Schedule, float64, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		c.hits++
-		sched, cost := cloneSchedule(e.sched), e.cost
-		c.mu.Unlock()
-		return sched, cost, true, nil
+// get returns the value under key, counting a hit or a miss.
+func (c *lru[K]) get(key K) ([]byte, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		c.misses++
+		return nil, false
 	}
-	if fl, ok := c.inflight[key]; ok {
-		c.collapsed++
-		c.hits++
-		c.mu.Unlock()
-		fl.done.Wait()
-		if fl.err != nil {
-			return nil, 0, false, fl.err
-		}
-		return cloneSchedule(fl.sched), fl.cost, true, nil
-	}
-	c.misses++
-	fl := new(flight)
-	fl.done.Add(1)
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	fl.sched, fl.cost, fl.err = solve()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.store(key, fl.sched, fl.cost)
-	}
-	c.mu.Unlock()
-	fl.done.Done()
-	if fl.err != nil {
-		return nil, 0, false, fl.err
-	}
-	// fl.sched is the cache entry, shared read-only with any waiters once
-	// done is released; the leader hands its caller a private copy like
-	// everyone else.
-	return cloneSchedule(fl.sched), fl.cost, false, nil
+	c.ll.MoveToFront(el)
+	c.hits++
+	return el.Value.(*lruEntry[K]).val, true
 }
 
-// store inserts sched under key, evicting the least recently used entry
-// when full. The entry is never mutated: every reader clones it. Caller
-// holds c.mu.
-func (c *Cache) store(key Key, sched *core.Schedule, cost float64) {
+// put stores val under key, evicting the least recently used entry
+// when full.
+func (c *lru[K]) put(key K, val []byte) {
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*entry)
-		e.sched, e.cost = sched, cost
+		el.Value.(*lruEntry[K]).val = val
 		return
 	}
 	for c.ll.Len() >= c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*entry).key)
+		delete(c.entries, oldest.Value.(*lruEntry[K]).key)
 		c.evictions++
 	}
-	c.entries[key] = c.ll.PushFront(&entry{key: key, sched: sched, cost: cost})
+	c.entries[key] = c.ll.PushFront(&lruEntry[K]{key: key, val: val})
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// stats snapshots the counters.
+func (c *lru[K]) stats() Stats {
 	return Stats{
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Collapsed: c.collapsed,
 		Evictions: c.evictions,
 		Size:      c.ll.Len(),
 		Capacity:  c.capacity,
 	}
 }
 
-// cloneSchedule deep-copies a schedule so cache entries and caller copies
-// never alias. The copy's member lists share one flat array, each capped
-// at its own length so an append to one cannot write into the next.
-func cloneSchedule(s *core.Schedule) *core.Schedule {
-	if s == nil {
-		return nil
+// flight is one in-progress solve; waiters block on done and then read the
+// result fields (written once, before done is released).
+type flight struct {
+	done sync.WaitGroup
+	val  []byte
+	err  error
+}
+
+// Cache is the solution tier: a bounded, thread-safe LRU of rendered
+// replies under the canonical fingerprint Key, with single-flight
+// collapsing of concurrent duplicate solves. Errors are never cached: a
+// failed solve leaves the key absent so the next request retries.
+// Stored replies are shared with every caller, so nobody may write them.
+type Cache struct {
+	lru[Key]
+	inflight  map[Key]*flight
+	collapsed uint64
+}
+
+// New builds a cache bounded to capacity entries (>= 1).
+func New(capacity int) (*Cache, error) {
+	c := &Cache{inflight: make(map[Key]*flight)}
+	if err := c.init(capacity); err != nil {
+		return nil, err
 	}
-	n := 0
-	for _, co := range s.Coalitions {
-		n += len(co.Members)
-	}
-	flat := make([]int, 0, n)
-	out := &core.Schedule{Coalitions: make([]core.Coalition, len(s.Coalitions))}
-	for i, co := range s.Coalitions {
-		out.Coalitions[i].Charger = co.Charger
-		if co.Members != nil {
-			at := len(flat)
-			flat = append(flat, co.Members...)
-			out.Coalitions[i].Members = flat[at:len(flat):len(flat)]
+	return c, nil
+}
+
+// Do returns the reply stored under key, or runs solve to produce (and
+// store) it. The cached return reports whether the reply came from the
+// cache or a collapsed in-flight solve rather than this call's own solve.
+// Concurrent calls with the same key share a single solve. The slice
+// solve returns becomes the entry and is handed to every caller as it is,
+// so neither solve nor any caller may write it afterwards.
+func (c *Cache) Do(key Key, solve func() ([]byte, error)) ([]byte, bool, error) {
+	c.mu.Lock()
+	if fl, ok := c.inflight[key]; ok {
+		c.collapsed++
+		c.hits++
+		c.mu.Unlock()
+		fl.done.Wait()
+		if fl.err != nil {
+			return nil, false, fl.err
 		}
+		return fl.val, true, nil
 	}
-	return out
+	if val, ok := c.get(key); ok {
+		c.mu.Unlock()
+		return val, true, nil
+	}
+	fl := new(flight)
+	fl.done.Add(1)
+	c.inflight[key] = fl
+	c.mu.Unlock()
+
+	fl.val, fl.err = solve()
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if fl.err == nil {
+		c.put(key, fl.val)
+	}
+	c.mu.Unlock()
+	fl.done.Done()
+	if fl.err != nil {
+		return nil, false, fl.err
+	}
+	return fl.val, false, nil
+}
+
+// Stats snapshots the counters.
+func (c *Cache) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.stats()
+	st.Collapsed = c.collapsed
+	return st
 }

@@ -2,6 +2,7 @@ package instcache
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -104,18 +105,26 @@ func TestFingerprintRejectsUnknownTariff(t *testing.T) {
 	}
 }
 
-func solveFor(in *core.Instance) func() (*core.Schedule, float64, error) {
-	return func() (*core.Schedule, float64, error) {
+// solveFor solves in with CCSGA and renders the result as the cache's
+// byte value.
+func solveFor(in *core.Instance) func() ([]byte, error) {
+	return func() ([]byte, error) {
 		cm, err := core.NewCostModel(in)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		res, err := core.CCSGA(cm, core.CCSGAOptions{})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return res.Schedule, cm.TotalCost(res.Schedule), nil
+		return fmt.Appendf(nil, "%v %v\n", cm.TotalCost(res.Schedule), res.Schedule.Coalitions), nil
 	}
+}
+
+// sameArray reports whether a and b are one slice: the same backing
+// array and length.
+func sameArray(a, b []byte) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
 func TestCacheHitMissAndIsolation(t *testing.T) {
@@ -128,50 +137,42 @@ func TestCacheHitMissAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, cost1, cached, err := c.Do(key, solveFor(in))
+	v1, cached, err := c.Do(key, solveFor(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Error("first Do reported cached")
 	}
-	s2, cost2, cached, err := c.Do(key, func() (*core.Schedule, float64, error) {
+	v2, cached, err := c.Do(key, func() ([]byte, error) {
 		t.Error("cache hit ran the solver")
-		return nil, 0, nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached || cost2 != cost1 {
-		t.Errorf("second Do cached=%v cost=%v, want true, %v", cached, cost2, cost1)
-	}
-	if len(s2.Coalitions) != len(s1.Coalitions) {
-		t.Fatal("cached schedule differs")
-	}
-	// Mutating a returned schedule must not corrupt the cache.
-	s2.Coalitions[0].Members[0] = -99
-	s3, _, _, err := c.Do(key, solveFor(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3.Coalitions[0].Members[0] == -99 {
-		t.Error("caller mutation leaked into the cache")
+	// The hit hands out the stored value itself, never a copy.
+	if !cached || !sameArray(v1, v2) {
+		t.Errorf("second Do cached=%v value %q, want true and the first call's slice %q", cached, v2, v1)
 	}
 	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 2 || st.Size != 1 {
-		t.Errorf("stats %+v, want 1 miss, 2 hits, size 1", st)
+	if st.Misses != 1 || st.Hits != 1 || st.Size != 1 {
+		t.Errorf("stats %+v, want 1 miss, 1 hit, size 1", st)
 	}
 
 	// A different scheduler name under the same fingerprint is a distinct
 	// entry.
 	key2 := key
 	key2.Scheduler = "CCSA"
-	_, _, cached, err = c.Do(key2, solveFor(in))
+	v3, cached, err := c.Do(key2, func() ([]byte, error) { return []byte("other\n"), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
-		t.Error("different scheduler hit the CCSGA entry")
+	if cached || string(v3) != "other\n" {
+		t.Errorf("different scheduler: cached=%v value %q, want its own fresh value", cached, v3)
+	}
+	if v, _, _ := c.Do(key, solveFor(in)); !sameArray(v, v1) {
+		t.Errorf("the CCSGA entry changed to %q", v)
 	}
 }
 
@@ -188,7 +189,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 		keys[i] = k
-		if _, _, _, err := c.Do(k, solveFor(in)); err != nil {
+		if _, _, err := c.Do(k, solveFor(in)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,10 +199,10 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 	// keys[0] was least recently used and must be gone; keys[2] must hit.
 	ran := false
-	if _, _, cached, _ := c.Do(keys[2], solveFor(testInstance(2))); !cached {
+	if _, cached, _ := c.Do(keys[2], solveFor(testInstance(2))); !cached {
 		t.Error("most recent key evicted")
 	}
-	if _, _, cached, _ := c.Do(keys[0], func() (*core.Schedule, float64, error) {
+	if _, cached, _ := c.Do(keys[0], func() ([]byte, error) {
 		ran = true
 		return solveFor(testInstance(0))()
 	}); cached || !ran {
@@ -216,22 +217,25 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	}
 	key := Key{Scheduler: "CCSGA"}
 	boom := errors.New("boom")
-	if _, _, _, err := c.Do(key, func() (*core.Schedule, float64, error) {
-		return nil, 0, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	if v, cached, err := c.Do(key, func() ([]byte, error) {
+		return []byte("partial"), boom
+	}); !errors.Is(err, boom) || v != nil || cached {
+		t.Fatalf("Do = %q, %v, %v; want nil, false, boom", v, cached, err)
 	}
 	if c.ll.Len() != 0 {
 		t.Fatal("error was cached")
 	}
 	// The next request retries and can succeed.
 	in := testInstance(0)
-	_, _, cached, err := c.Do(key, solveFor(in))
+	_, cached, err := c.Do(key, solveFor(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached {
 		t.Error("retry after error reported cached")
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 || st.Size != 1 {
+		t.Errorf("stats %+v, want 2 misses, no hit, size 1", st)
 	}
 }
 
@@ -247,21 +251,21 @@ func TestCacheSingleFlightCollapses(t *testing.T) {
 
 	const callers = 16
 	var wg sync.WaitGroup
-	costs := make([]float64, callers)
+	vals := make([][]byte, callers)
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, cost, _, err := c.Do(key, func() (*core.Schedule, float64, error) {
+			v, _, err := c.Do(key, func() ([]byte, error) {
 				solves.Add(1)
 				<-release // hold every concurrent caller in the same flight
 				return solveFor(in)()
 			})
-			if err != nil || s == nil {
+			if err != nil || v == nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
 			}
-			costs[i] = cost
+			vals[i] = v
 		}(i)
 	}
 	// Release the leader only once every other caller has joined its
@@ -283,9 +287,10 @@ func TestCacheSingleFlightCollapses(t *testing.T) {
 	if st.Collapsed != callers-1 {
 		t.Errorf("collapsed %d, want %d", st.Collapsed, callers-1)
 	}
+	// Every caller holds the leader's value itself.
 	for i := 1; i < callers; i++ {
-		if costs[i] != costs[0] {
-			t.Fatalf("caller %d cost %v != caller 0 cost %v", i, costs[i], costs[0])
+		if !sameArray(vals[i], vals[0]) {
+			t.Fatalf("caller %d value %q is not caller 0's %q", i, vals[i], vals[0])
 		}
 	}
 }

@@ -49,11 +49,12 @@ func FuzzTieredPrice(f *testing.F) {
 }
 
 // FuzzTariffValidate pins Validate's analytic fast path to the grid spot
-// check it skips: for any tariff, energy range and sample count, the
-// analytic-then-spot verdict must equal the spot check alone, error text
-// included. kind picks the tariff: 0 Linear with rate a, 1 PowerLaw
-// with coefficient a and exponent b, 2 a three-tier Tiered with bounds
-// a, d and rates b, c, c/2.
+// check it skips: for any tariff with finite parameters, energy range
+// and sample count, the analytic-then-spot verdict must equal the spot
+// check alone, error text included; any other tariff must be rejected.
+// kind picks the tariff: 0 Linear with rate a, 1 PowerLaw with
+// coefficient a and exponent b, 2 a three-tier Tiered with bounds a, d
+// and rates b, c, c/2.
 func FuzzTariffValidate(f *testing.F) {
 	f.Add(uint8(0), 0.15, 0.0, 0.0, 0.0, 1.5e5, 64)
 	f.Add(uint8(0), -0.5, 0.0, 0.0, 0.0, 100.0, 64)
@@ -74,6 +75,8 @@ func FuzzTariffValidate(f *testing.F) {
 	f.Add(uint8(2), math.NaN(), 2.0, 1.0, 5.0, 10.0, 64)
 	f.Add(uint8(2), -5.0, 2.0, 1.0, 5.0, 1e4, 64)
 	f.Add(uint8(2), 1e3, 1e300, 1e299, 1e4, 1e6, 64)
+	f.Add(uint8(0), math.NaN(), 0.0, 0.0, 0.0, 1e3, 64)
+	f.Add(uint8(1), math.NaN(), 0.9, 0.0, 0.0, 1e3, 64)
 	f.Fuzz(func(t *testing.T, kind uint8, a, b, c, d, maxEnergy float64, samples int) {
 		if samples > 1<<17 {
 			return // keep the grid small; the analytic cap is 1<<16
@@ -90,6 +93,12 @@ func FuzzTariffValidate(f *testing.F) {
 				return
 			}
 			tariff = tr
+		}
+		if !finiteParams(&tariff) {
+			if err := Validate(tariff, maxEnergy, samples); err == nil {
+				t.Fatalf("Validate(%#v, %v, %d) accepted a non-finite parameter", tariff, maxEnergy, samples)
+			}
+			return
 		}
 		got, want := Validate(tariff, maxEnergy, samples), spotCheck(&tariff, maxEnergy, samples)
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {

@@ -134,8 +134,10 @@ func (t *Tariff) Tiers() []Tier { return slices.Clone(t.tiers) }
 // pass. It is used by tests and by instance validation to catch
 // tariffs that would silently break CCSA's guarantees.
 //
-// A tariff of no known kind, or a Tiered one with no tiers (which only a
-// literal, not NewTiered, can build), is rejected outright. A tariff
+// A tariff of no known kind, a Tiered one with no tiers (which only a
+// literal, not NewTiered, can build), or one whose kind prices with a
+// NaN or infinite parameter is rejected outright: NaN prices slip past
+// every comparison of the grid check. A tariff
 // inside its kind's analytic region is then accepted analytically (see
 // concaveByForm); only a tariff that check does not accept is priced on
 // the grid. The analytic region lies inside the region the grid check
@@ -146,11 +148,32 @@ func Validate(tariff Tariff, maxEnergy float64, samples int) error {
 		return fmt.Errorf("pricing: unknown tariff kind %d", tariff.Kind)
 	case tariff.Kind == Tiered && len(tariff.tiers) == 0:
 		return errors.New("pricing: tiered tariff has no tiers")
+	case !finiteParams(&tariff):
+		return fmt.Errorf("pricing: %s has a non-finite parameter", tariff.Name())
 	}
 	if samples >= 3 && concaveByForm(&tariff, maxEnergy, samples) {
 		return nil
 	}
 	return spotCheck(&tariff, maxEnergy, samples)
+}
+
+// finiteParams reports whether every parameter t's kind prices with —
+// Linear's rate, PowerLaw's coefficient and exponent, each tier's rate —
+// is finite.
+func finiteParams(t *Tariff) bool {
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	switch t.Kind {
+	case Linear:
+		return finite(t.Rate)
+	case PowerLaw:
+		return finite(t.Coeff) && finite(t.Exponent)
+	}
+	for _, tr := range t.tiers {
+		if !finite(tr.Rate) {
+			return false
+		}
+	}
+	return true
 }
 
 // The bounds of concaveByForm's analytic region; its comment says why

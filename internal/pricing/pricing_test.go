@@ -215,7 +215,9 @@ func TestValidateAcceptsConcaveTariffs(t *testing.T) {
 }
 
 // TestValidateRejectsBadTariffs: a convex power law and a decreasing
-// linear tariff fail the grid check, as do too few samples.
+// linear tariff fail the grid check, as do too few samples; a tariff
+// whose kind prices with a NaN or infinite parameter is rejected before
+// it (the grid check passed those whose prices are NaN or +Inf).
 func TestValidateRejectsBadTariffs(t *testing.T) {
 	tests := []struct {
 		name string
@@ -226,6 +228,13 @@ func TestValidateRejectsBadTariffs(t *testing.T) {
 		{"no kind", Tariff{}},
 		{"unknown kind", Tariff{Kind: Tiered + 1}},
 		{"tiered without tiers", Tariff{Kind: Tiered}},
+		{"linear NaN rate", Tariff{Kind: Linear, Rate: math.NaN()}},
+		{"linear +Inf rate", Tariff{Kind: Linear, Rate: math.Inf(1)}},
+		{"powerlaw NaN coeff", Tariff{Kind: PowerLaw, Coeff: math.NaN(), Exponent: 0.9}},
+		{"powerlaw +Inf coeff", Tariff{Kind: PowerLaw, Coeff: math.Inf(1), Exponent: 0.9}},
+		{"powerlaw NaN exponent", Tariff{Kind: PowerLaw, Coeff: 1, Exponent: math.NaN()}},
+		{"tiered NaN rate", MustTiered([]Tier{{UpTo: 10, Rate: math.NaN()}, {UpTo: math.Inf(1), Rate: 1}})},
+		{"tiered +Inf rate", MustTiered([]Tier{{UpTo: 10, Rate: math.Inf(1)}, {UpTo: math.Inf(1), Rate: 1}})},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

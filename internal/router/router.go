@@ -410,7 +410,9 @@ func (rt *Router) dispatch(key instcache.Key, sum [32]byte, line []byte) ([]byte
 	// Store fleet-replayable responses: only a response the backend
 	// itself served as a byte-cache replay (marked "cached":true) is
 	// stable under repetition, so replaying it here is byte-identical
-	// to what the backend would keep answering.
+	// to what the backend would keep answering. Put keeps resp itself:
+	// it is the fresh slice the backend connection's ReadBytes returned,
+	// and nothing writes it again.
 	if rt.replay != nil && bytes.Contains(resp, []byte(`"cached":true`)) &&
 		!bytes.Contains(resp, []byte(`"error"`)) {
 		rt.replay.Put(sum, resp)
